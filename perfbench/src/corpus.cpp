@@ -1,6 +1,5 @@
 #include "corpus.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "src/core/variant_registry.hpp"
@@ -76,7 +75,7 @@ void replayStandalone(const FleetCorpus& corpus, std::size_t s,
     const TimeUs now = corpus.scheduleUs(s, k);
     session.offerBytes(sensor.chunks[k], now);
     (void)session.drainInto(sink, now);
-    if (k + 1 == static_cast<std::size_t>(corpus.openWindows)) {
+    if (k + 1 == static_cast<std::size_t>(kOpenWindows)) {
       sensor.expectedSessionOpen = session.counters();
       sensor.expectedSinkOpen = sink.counters();
     }
@@ -91,8 +90,9 @@ void replayStandalone(const FleetCorpus& corpus, std::size_t s,
 FleetCorpus makeFleetCorpus(const FleetSpec& spec, std::uint64_t seed) {
   FleetCorpus corpus;
   corpus.variant = spec.variant;
+  check(spec.windows >= kOpenWindows,
+        "corpus: fewer windows than the open loop streams");
   corpus.windows = spec.windows;
-  corpus.openWindows = std::min(spec.openWindows, spec.windows);
   corpus.node.width = kWidth;
   corpus.node.height = kHeight;
   // Lossless delivery: the consumer runs every queued window, and the
@@ -100,9 +100,9 @@ FleetCorpus makeFleetCorpus(const FleetSpec& spec, std::uint64_t seed) {
   // each sensor delivers never depends on thread timing.
   corpus.node.backpressure = BackpressurePolicy::kRejectPacket;
   corpus.node.queueCapacity = 16;
-  corpus.sensors.resize(static_cast<std::size_t>(spec.sensors));
+  corpus.sensors.resize(kSensors);
 
-  for (int s = 0; s < spec.sensors; ++s) {
+  for (int s = 0; s < kSensors; ++s) {
     SensorCorpus& sensor = corpus.sensors[static_cast<std::size_t>(s)];
     sensor.id = static_cast<std::uint16_t>(s);
     sensor.faulted = spec.faultEvery > 0 && (s + 1) % spec.faultEvery == 0;

@@ -29,6 +29,10 @@ inline constexpr ebbiot::TimeUs kFramePeriodUs = 66'000;
 inline constexpr std::uint64_t kFleetTrafficSeed = 1001;
 inline constexpr std::uint64_t kSweepTrafficSeed = 7;
 inline constexpr int kWarmupWindows = 45;  // ~3 s
+/// Fleet sensors, and the windows per sensor the open-loop phase streams
+/// (the first kOpenWindows of each; 1024 latency samples per round).
+inline constexpr int kSensors = 16;
+inline constexpr int kOpenWindows = 64;
 
 /// Seed of one independent stream derived from the run seed.
 [[nodiscard]] std::uint64_t deriveSeed(std::uint64_t seed,
@@ -65,7 +69,7 @@ struct SensorCorpus {
   /// Reference tracks per seq; nullopt where the window is never tracked.
   std::vector<std::optional<ebbiot::Tracks>> expected;
   /// Standalone single-threaded session + sink replay (faulted sensors),
-  /// after the whole stream and after its first FleetCorpus::openWindows.
+  /// after the whole stream and after its first kOpenWindows.
   ebbiot::SessionCounters expectedSession;
   ebbiot::PipelineSink::Counters expectedSink;
   ebbiot::SessionCounters expectedSessionOpen;
@@ -75,7 +79,6 @@ struct SensorCorpus {
 struct FleetCorpus {
   std::string variant;  ///< registry key of the per-sensor pipeline
   int windows = 0;      ///< per sensor
-  int openWindows = 0;  ///< per sensor, streamed by the open-loop phase
   ebbiot::NodeConfig node;
   ebbiot::PipelineSinkConfig sink;
   std::vector<SensorCorpus> sensors;
@@ -88,9 +91,7 @@ struct FleetCorpus {
 
 struct FleetSpec {
   std::string variant;
-  int sensors = 16;
-  int windows = 128;
-  int openWindows = 64;
+  int windows = 128;  ///< per sensor, at least kOpenWindows
   /// Every `faultEvery`-th sensor (1-based) carries faults; 0 = none.
   int faultEvery = 0;
   double bitFlipProb = 0.0;

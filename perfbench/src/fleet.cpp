@@ -1,25 +1,22 @@
 // fleet_ebbiot / fleet_ebms: 16 sensors over the full node path
 // (EBF1 bytes -> NodeSupervisor::offerBytes -> FrameParser ->
 // SensorSession -> SPSC queue -> NodeSupervisor::pump -> PipelineSink ->
-// pipeline -> tracks) in one process: two generator threads (the main
-// thread and one more) and one pump thread.
+// pipeline -> tracks) on one thread: the generator offers each chunk and
+// pumps the sessions inline (a one-thread pool).
 //
 // Each round builds a fresh system twice from the same generated chunks:
 //   * open loop: window i of the interleaved schedule is due at
-//     t0 + i / rate; the generator waits for its due time (and for queue
-//     room — it never drops), offers the chunk with the *schedule* time
-//     as `now`, and latency runs from the due time to the moment the
-//     sink's track observer fires for that (sensor, seq);
-//   * closed loop: the same chunks as fast as the queues accept them;
+//     t0 + i / rate; the generator waits for its due time, offers the
+//     chunk with the *schedule* time as `now` and pumps it at once;
+//     latency runs from the due time to the moment the sink's track
+//     observer fires for that (sensor, seq);
+//   * closed loop: the same chunks as fast as one thread takes them;
 //     throughput is tracked windows per second of that phase.
 // Every phase is verified against the references in the corpus.
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <memory>
-#include <thread>
 
 #include "alloc_hook.hpp"
 #include "corpus.hpp"
@@ -40,9 +37,6 @@ namespace {
 
 constexpr std::size_t kMaxTracks = 32;
 constexpr std::uint8_t kNotTracked = 0xFF;
-/// The generator waits while a sensor's queue holds this many windows
-/// (capacity 16; one offer decodes at most a few frames).
-constexpr std::size_t kRoomLimit = 8;
 constexpr float kIou = 0.3F;
 
 /// Per-sensor record of what the node produced in one phase.
@@ -142,6 +136,7 @@ std::unique_ptr<System> buildSystem(const FleetCorpus& corpus,
 struct PhaseResult {
   std::int64_t startNs = 0;
   std::int64_t endNs = 0;
+  std::int64_t busyNs = 0;  ///< phase wall time minus the due-time waits
   std::vector<std::int64_t> sentNs;  ///< per global schedule index
   std::vector<std::int64_t> enqNs;   ///< per index, after offerBytes
   std::uint64_t allocsMid = 0;
@@ -150,126 +145,72 @@ struct PhaseResult {
   std::size_t backlogMax = 0;
 };
 
-/// One phase over the first `windows` windows of every sensor.  Schedule
-/// index i = k * S + s (window k of sensor s; windows interleave across
-/// sensors).
+/// Deliver every queued window (one pump drains all sessions inline).
+void pumpAll(System& sys, TimeUs now) {
+  while (sys.supervisor.totalBacklog() > 0) {
+    const Span span(Layer::kSupervisorPump);
+    const NodeSupervisor::PumpStats stats = sys.supervisor.pump(now);
+    trace::count(trace::Counter::kPumpWindows, stats.windowsDelivered);
+  }
+}
+
+/// One phase over the first `windows` windows of every sensor, on the
+/// calling thread.  Schedule index i = k * S + s (window k of sensor s;
+/// windows interleave across sensors).  The open loop waits for each due
+/// time, offers the chunk and pumps it straight away; the closed loop
+/// offers window k of every sensor and then pumps them together.
 PhaseResult runPhase(System& sys, const FleetCorpus& corpus,
                      std::size_t windows, bool openLoop, double rateWps,
-                     int producers, bool traced) {
+                     bool traced) {
   const std::size_t sensors = corpus.sensors.size();
   const std::size_t total = sensors * windows;
   PhaseResult out;
   out.sentNs.assign(total, 0);
   out.enqNs.assign(total, 0);
-  out.midIndex = (windows / 2) * sensors;  // sensor 0 -> producer 0
+  out.midIndex = total / 2;
   const double periodNs = openLoop ? 1e9 / rateWps : 0.0;
-
-  std::atomic<bool> go{false};
-  std::atomic<bool> failed{false};  ///< a thread threw: everyone stops
-  std::atomic<int> live{producers};
-  std::atomic<TimeUs> consumerNow{0};
-  // Slot 0..producers-1: generators; slot `producers`: the pump thread.
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(producers) + 1);
-  std::vector<std::size_t> backlogMax(static_cast<std::size_t>(producers), 0);
-
-  std::thread consumer([&] {
-    while (!go.load(std::memory_order_acquire)) {
-      cpuRelax();
-    }
-    try {
-      for (;;) {
-        const bool done = live.load(std::memory_order_acquire) == 0;
-        if (sys.supervisor.totalBacklog() == 0) {
-          if (done) {
-            break;
-          }
-          cpuRelax();
-          continue;
-        }
-        const Span span(Layer::kSupervisorPump);
-        const NodeSupervisor::PumpStats stats = sys.supervisor.pump(
-            consumerNow.load(std::memory_order_relaxed));
-        trace::count(trace::Counter::kPumpWindows, stats.windowsDelivered);
+  const std::int64_t beginNs = trace::nowNs();
+  std::int64_t idleNs = 0;
+  // A short lead so the first due time is not already late.
+  out.startNs = trace::nowNs() + (openLoop ? 1'000'000 : 0);
+  for (std::size_t k = 0; k < windows; ++k) {
+    TimeUs now = 0;
+    for (std::size_t s = 0; s < sensors; ++s) {
+      const std::size_t i = k * sensors + s;
+      if (openLoop) {
+        const std::int64_t waitFrom = trace::nowNs();
+        waitUntilNs(out.startNs +
+                    static_cast<std::int64_t>(static_cast<double>(i) *
+                                              periodNs));
+        idleNs += trace::nowNs() - waitFrom;
       }
-    } catch (...) {
-      errors.back() = std::current_exception();
-      failed.store(true, std::memory_order_relaxed);
-    }
-    out.endNs = trace::nowNs();
-  });
-
-  auto produce = [&](int p) {
-    std::size_t localBacklogMax = 0;
-    try {
-      for (std::size_t k = 0; k < windows; ++k) {
-        for (std::size_t s = static_cast<std::size_t>(p); s < sensors;
-             s += static_cast<std::size_t>(producers)) {
-          const std::size_t i = k * sensors + s;
-          if (openLoop) {
-            waitUntilNs(out.startNs +
-                        static_cast<std::int64_t>(static_cast<double>(i) *
-                                                  periodNs));
-          }
-          SensorSession& session = *sys.sessions[s];
-          while (session.backlog() >= kRoomLimit) {
-            if (failed.load(std::memory_order_relaxed)) {
-              throw CheckFailure("fleet: the pump thread failed");
-            }
-            cpuRelax();
-          }
-          if (i == out.midIndex) {
-            out.allocsMid = alloc::count();
-          }
-          const TimeUs now = corpus.scheduleUs(s, k);
-          const std::vector<std::byte>& chunk = corpus.sensors[s].chunks[k];
-          out.sentNs[i] = trace::nowNs();
-          {
-            const Span span(Layer::kSessionOffer, trace::kNoVariant,
-                            corpus.sensors[s].id,
-                            static_cast<std::uint32_t>(k));
-            sys.supervisor.offerBytes(corpus.sensors[s].id, chunk, now);
-          }
-          consumerNow.store(now, std::memory_order_relaxed);
-          if (traced) {
-            out.enqNs[i] = trace::nowNs();
-            trace::count(trace::Counter::kOfferBytes, chunk.size());
-            localBacklogMax = std::max(localBacklogMax, session.backlog());
-          }
-        }
+      if (i == out.midIndex) {
+        out.allocsMid = alloc::count();
       }
-    } catch (...) {
-      errors[static_cast<std::size_t>(p)] = std::current_exception();
-      failed.store(true, std::memory_order_relaxed);
-    }
-    backlogMax[static_cast<std::size_t>(p)] = localBacklogMax;
-    live.fetch_sub(1, std::memory_order_release);
-  };
-
-  std::vector<std::thread> extra;
-  for (int p = 1; p < producers; ++p) {
-    extra.emplace_back([&, p] {
-      while (!go.load(std::memory_order_acquire)) {
-        cpuRelax();
+      now = corpus.scheduleUs(s, k);
+      const std::vector<std::byte>& chunk = corpus.sensors[s].chunks[k];
+      out.sentNs[i] = trace::nowNs();
+      {
+        const Span span(Layer::kSessionOffer, trace::kNoVariant,
+                        corpus.sensors[s].id, static_cast<std::uint32_t>(k));
+        sys.supervisor.offerBytes(corpus.sensors[s].id, chunk, now);
       }
-      produce(p);
-    });
+      if (traced) {
+        out.enqNs[i] = trace::nowNs();
+        trace::count(trace::Counter::kOfferBytes, chunk.size());
+        out.backlogMax = std::max(out.backlogMax, sys.sessions[s]->backlog());
+      }
+      if (openLoop) {
+        pumpAll(sys, now);
+      }
+    }
+    if (!openLoop) {
+      pumpAll(sys, now);
+    }
   }
-  // A short lead so every thread is spinning before the first due time.
-  out.startNs = trace::nowNs() + (openLoop ? 2'000'000 : 0);
-  go.store(true, std::memory_order_release);
-  produce(0);
-  for (std::thread& t : extra) {
-    t.join();
-  }
-  consumer.join();
+  out.endNs = trace::nowNs();
+  out.busyNs = out.endNs - beginNs - idleNs;
   out.allocsEnd = alloc::count();
-  for (const std::exception_ptr& error : errors) {
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  }
-  out.backlogMax = *std::max_element(backlogMax.begin(), backlogMax.end());
   return out;
 }
 
@@ -369,12 +310,10 @@ RunOutcome runFleet(const RunOptions& options) {
   const bool ebms = options.workload == "fleet_ebms";
   FleetSpec spec;
   spec.variant = ebms ? "EBMS" : "EBBIOT";
-  spec.sensors = 16;
   // Closed loop streams all 128 windows per sensor; open loop the first
-  // 64 (1024 samples per round, enough for its own p99), so rounds stay
-  // short and many.
-  spec.windows = options.smoke ? 64 : 128;
-  spec.openWindows = 64;
+  // kOpenWindows (1024 samples per round, enough for its own p99), so
+  // rounds stay short and many.
+  spec.windows = options.smoke ? kOpenWindows : 128;
   if (!ebms) {
     spec.faultEvery = 4;
     spec.bitFlipProb = 0.005;
@@ -386,12 +325,8 @@ RunOutcome runFleet(const RunOptions& options) {
   const FleetCorpus corpus = makeFleetCorpus(spec, options.seed);
   const Accuracy accuracy = scoreCorpus(corpus);
 
-  // Threads: two generators (the main thread and one more) and one pump
-  // thread that drains the sessions inline (a one-thread pool); one
-  // generator when only two threads are allowed.
-  const int threads = std::clamp(options.threads, 2, 3);
-  const int producers = threads >= 3 ? 2 : 1;
-  ThreadPool pool(std::max(1, threads - producers));
+  // One thread: the generator pumps the sessions inline.
+  ThreadPool pool(1);
 
   std::vector<Capture> captures;
   captures.reserve(corpus.sensors.size());
@@ -413,6 +348,7 @@ RunOutcome runFleet(const RunOptions& options) {
   std::vector<double> tracedClosedS;
   std::size_t backlogMax = 0;
   double tracedWallNs = 0;  ///< summed traced phase wall time
+  double tracedBusyNs = 0;  ///< the same minus the due-time waits
   std::uint64_t attempted = 0;
   SessionCounters sessionTotals;
   PipelineSink::Counters sinkTotals;
@@ -428,10 +364,10 @@ RunOutcome runFleet(const RunOptions& options) {
     std::unique_ptr<System> sys = buildSystem(corpus, pool, captures, traced);
     setupS.push_back(static_cast<double>(trace::nowNs() - t0) / 1e9);
     const auto windows = static_cast<std::size_t>(
-        openLoop ? corpus.openWindows : corpus.windows);
+        openLoop ? kOpenWindows : corpus.windows);
     const std::size_t total = corpus.sensors.size() * windows;
-    const PhaseResult r = runPhase(*sys, corpus, windows, openLoop, rate,
-                                   producers, traced);
+    const PhaseResult r =
+        runPhase(*sys, corpus, windows, openLoop, rate, traced);
     heapMb.push_back(static_cast<double>(alloc::peakBytes() - live0) / 1e6);
     const std::uint64_t tracked = verifyPhase(
         corpus, windows, *sys, captures, openLoop ? "open" : "closed");
@@ -479,6 +415,7 @@ RunOutcome runFleet(const RunOptions& options) {
     }
     if (traced) {
       tracedWallNs += static_cast<double>(r.endNs - r.startNs);
+      tracedBusyNs += static_cast<double>(r.busyNs);
       for (std::size_t s = 0; s < corpus.sensors.size(); ++s) {
         const SessionCounters c = sys->sessions[s]->counters();
         sessionTotals.resyncs += c.resyncs;
@@ -515,8 +452,7 @@ RunOutcome runFleet(const RunOptions& options) {
   outcome.notes.push_back(
       "fleet " + corpus.variant + ": " + std::to_string(corpus.sensors.size()) +
       " sensors x " + std::to_string(corpus.windows) + " windows, " +
-      std::to_string(rounds) + " rounds, " + std::to_string(threads) +
-      " threads (" + std::to_string(producers) + " generators), offered " +
+      std::to_string(rounds) + " rounds, 1 thread, offered " +
       std::to_string(rate) + " windows/s open loop");
   outcome.notes.push_back("latency samples per round: " +
                           std::to_string(latencySamples) + " (windows lost to faults per full pass: " +
@@ -527,9 +463,9 @@ RunOutcome runFleet(const RunOptions& options) {
 
   if (!options.trace) {
     MetricSet& m = outcome.metrics;
-    m.add("throughput_wps", best(throughput, true), "1/s");
-    m.add("latency_p50_us", best(p50Us, false), "us");
-    m.add("latency_p99_us", best(p99Us, false), "us");
+    m.add("throughput_wps", median(throughput), "1/s");
+    m.add("latency_p50_us", median(p50Us), "us");
+    m.add("latency_p99_us", lowestQuarter(p99Us), "us");
     m.add("precision_iou30", accuracy.precision, "ratio");
     m.add("recall_iou30", accuracy.recall, "ratio");
     m.add("setup_s", median(setupS), "s");
@@ -543,7 +479,8 @@ RunOutcome runFleet(const RunOptions& options) {
   const double offerBusyNs =
       static_cast<double>(totals.layer(Layer::kSessionOffer).totalNs);
   LayerExtras extras;
-  extras.sessionBusyFrac = offerBusyNs / (producers * tracedWallNs);
+  extras.sessionBusyFrac = offerBusyNs / tracedWallNs;
+  extras.busyNs = tracedBusyNs;
   extras.sessionBytesPerS =
       offerBusyNs > 0
           ? static_cast<double>(totals.counter(trace::Counter::kOfferBytes)) *

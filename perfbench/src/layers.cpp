@@ -1,5 +1,4 @@
 #include <chrono>
-#include <cmath>
 #include <thread>
 
 #include "src/core/variant_registry.hpp"
@@ -90,27 +89,36 @@ void addLayerMetrics(const trace::Totals& totals, const LayerExtras& extras,
   out.add("node.sink.resync_restores", extras.resyncRestores, "count");
   out.add("node.sink.allocs_per_call", allocsPerCall(sink), "count");
 
-  // The runner's own time per recording window; busy share of the
-  // runner's threads spent inside pipeline stages.
-  const Cell runner = layer(Layer::kRunner);
+  // The runner's time on its threads outside every pipeline stage and
+  // outside the benchmark's own draw and track capture, idle included:
+  // latch readout, frame statistics, ground truth, matching and waiting
+  // on the stage graph.  Its allocations are those made during
+  // runRecording outside every span.
   double stageNs = 0;
   for (const Layer l : kTopStages) {
     stageNs += static_cast<double>(layer(l).totalNs);
   }
-  double windowsPerRun = 0;
-  for (const Layer l : kWindowEnd) {
-    windowsPerRun += static_cast<double>(
-        totals.at(l, 0).calls);  // variant 0 runs once per window
+  double benchNs = 0;
+  for (const Layer l : {Layer::kObserver, Layer::kSource}) {
+    benchNs += static_cast<double>(layer(l).totalNs);
   }
+  double spanAllocs = 0;
+  for (std::size_t l = 0; l < trace::kLayerCount; ++l) {
+    spanAllocs +=
+        static_cast<double>(layer(static_cast<Layer>(l)).selfAllocs);
+  }
+  const bool runner = extras.runnerThreadNs > 0;
   out.add("core.runner.self_us",
-          ratio(static_cast<double>(runner.selfNs) / 1e3, windowsPerRun),
+          runner ? ratio((extras.runnerThreadNs - stageNs - benchNs) / 1e3,
+                         extras.runnerWindows)
+                 : 0.0,
           "us");
   out.add("core.runner.pipeline_busy_frac",
-          ratio(stageNs, static_cast<double>(runner.totalNs) *
-                             extras.runnerThreads),
-          "ratio");
+          ratio(stageNs, extras.runnerThreadNs), "ratio");
   out.add("core.runner.allocs_per_window",
-          ratio(static_cast<double>(runner.selfAllocs), windowsPerRun),
+          runner ? ratio(extras.runnerAllocs - spanAllocs,
+                         extras.runnerWindows)
+                 : 0.0,
           "count");
 
   const Cell frontEnd = layer(Layer::kFrontEnd);
@@ -169,20 +177,21 @@ void addLayerMetrics(const trace::Totals& totals, const LayerExtras& extras,
     out.add(prefix + ".ops_per_window", ratio(ops, windows), "ops");
   }
 
-  // Trace consistency: children never outlast their parents, and the
-  // layers' self times add up to the traced total (the root spans of
-  // every thread); only the benchmark's own observer falls outside.
-  check(totals.negativeSelfNs == 0,
-        "trace consistency: a span was outlasted by its children");
+  // Trace consistency: the system layers' self times add up to the
+  // traced total measured outside the spans (extras.busyNs).  What they
+  // miss is work no span covers: the harness loop and the benchmark's
+  // own track capture on the fleets, the staged pipelines' glue between
+  // stage calls on the sweep.  Spans nest inside that total, so the sum
+  // cannot exceed it beyond clock granularity.
   double selfSum = 0;
   for (std::size_t l = 0; l < trace::kLayerCount; ++l) {
-    if (static_cast<Layer>(l) != Layer::kObserver) {
-      selfSum += static_cast<double>(layer(static_cast<Layer>(l)).selfNs);
+    const auto id = static_cast<Layer>(l);
+    if (id != Layer::kObserver && id != Layer::kSource) {
+      selfSum += static_cast<double>(layer(id).selfNs);
     }
   }
-  const double layerSumFrac =
-      ratio(selfSum, static_cast<double>(totals.rootNs));
-  check(std::fabs(layerSumFrac - 1.0) <= 0.05,
+  const double layerSumFrac = ratio(selfSum, extras.busyNs);
+  check(layerSumFrac >= 0.95 && layerSumFrac <= 1.001,
         "trace consistency: layer self times sum to " +
             std::to_string(layerSumFrac) + " of the traced total");
 

@@ -21,13 +21,9 @@ double median(std::vector<double> values) {
                     : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-double best(std::vector<double> rounds, bool higherIsBetter) {
-  check(!rounds.empty(), "best of zero rounds");
-  if (higherIsBetter) {
-    std::sort(rounds.rbegin(), rounds.rend());
-  } else {
-    std::sort(rounds.begin(), rounds.end());
-  }
+double lowestQuarter(std::vector<double> rounds) {
+  check(!rounds.empty(), "lowest quarter of zero rounds");
+  std::sort(rounds.begin(), rounds.end());
   rounds.resize((rounds.size() + 3) / 4);
   return median(std::move(rounds));
 }
@@ -191,12 +187,11 @@ void selfTest() {
   }
   check(near(median({4.0, 1.0, 3.0, 2.0}), 2.5) && near(median({7.0}), 7.0),
         "self-test: median");
-  // Best quarter: of 8 rounds the best 2 (median = their mean); of 3
-  // rounds the single best.
-  check(near(best({5, 1, 8, 2, 7, 3, 6, 4}, true), 7.5) &&
-            near(best({5, 1, 8, 2, 7, 3, 6, 4}, false), 1.5) &&
-            near(best({2, 9, 4}, true), 9.0),
-        "self-test: best-quarter estimate");
+  // Lowest quarter: of 8 rounds the lowest 2 (median = their mean); of 3
+  // rounds the single lowest.
+  check(near(lowestQuarter({5, 1, 8, 2, 7, 3, 6, 4}), 1.5) &&
+            near(lowestQuarter({2, 9, 4}), 2.0),
+        "self-test: lowest-quarter estimate");
   // Percentile rule: 1000 samples support p99 (10 beyond), 999 do not.
   {
     std::vector<double> v;

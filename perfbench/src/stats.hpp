@@ -21,13 +21,12 @@ void check(bool ok, const std::string& what);
 
 [[nodiscard]] double median(std::vector<double> values);
 
-/// Best-quarter estimate of a run's per-round values: the median of the
-/// best ceil(n / 4) rounds (the highest when higher is better, else the
-/// lowest).  Rounds replay identical inputs, so they differ only by
-/// interference from outside the process — on a shared host whole rounds
-/// lose their CPU to other tenants — and the best rounds are the least
-/// disturbed measurements of the same work.
-[[nodiscard]] double best(std::vector<double> rounds, bool higherIsBetter);
+/// Median of the lowest ceil(n / 4) of a run's per-round values: the
+/// estimate of a latency tail.  Rounds replay identical inputs, so they
+/// differ only by interference from outside the process, and one stall of
+/// a few milliseconds multiplies a round's p99; the lowest rounds are the
+/// undisturbed measurements of the same work.
+[[nodiscard]] double lowestQuarter(std::vector<double> rounds);
 
 /// "name: v1 v2 ... | quartiles q1 q2 q3" summary line of per-round
 /// values (the within-run spread).

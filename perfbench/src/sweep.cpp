@@ -7,8 +7,9 @@
 // that stamps when it finished each window; with the replay source's draw
 // stamps that gives the per-window latency (draw -> all variants done).
 // Traced rounds hand runRecording staged compositions of the same
-// variants instead.  Every round's RunResult must equal a threads = 1
-// reference run over the same windows.
+// variants instead, and the decorator times each processWindow call: the
+// total the stage spans' self times are checked against.  Every round's
+// RunResult must equal a threads = 1 reference run over the same windows.
 #include <algorithm>
 #include <memory>
 
@@ -61,6 +62,7 @@ class ReplaySource final : public EventSource {
       allocsAtFirstDraw = alloc::count();
     }
     drawNs_[next_] = trace::nowNs();
+    const trace::Span span(Layer::kSource);
     const PackedWindow& w = windows_[next_++];
     EventPacket out(w.tStart, w.tEnd);
     const std::span<Event> events = out.appendBuffer(w.events.size());
@@ -90,17 +92,21 @@ class ReplaySource final : public EventSource {
 
 /// Forwards everything to `inner`; after each window either stamps the
 /// finish time (untraced rounds) or copies the tracks (reference and
-/// traced rounds).
+/// traced rounds).  Adds the time spent in `inner` to `*busyNs`.
 class Decorated final : public Pipeline {
  public:
   Decorated(std::unique_ptr<Pipeline> inner, std::vector<std::int64_t>* done,
-            std::vector<Tracks>* tracks)
-      : inner_(std::move(inner)), done_(done), tracks_(tracks) {}
+            std::vector<Tracks>* tracks, std::int64_t* busyNs)
+      : inner_(std::move(inner)), done_(done), tracks_(tracks),
+        busyNs_(busyNs) {}
 
   Tracks processWindow(const EventPacket& packet) override {
+    const std::int64_t start = trace::nowNs();
     Tracks t = inner_->processWindow(packet);
+    const std::int64_t end = trace::nowNs();
+    *busyNs_ += end - start;
     if (done_ != nullptr && next_ < done_->size()) {
-      (*done_)[next_] = trace::nowNs();
+      (*done_)[next_] = end;
     }
     ++next_;
     if (tracks_ != nullptr) {
@@ -125,6 +131,7 @@ class Decorated final : public Pipeline {
   std::unique_ptr<Pipeline> inner_;
   std::vector<std::int64_t>* done_;
   std::vector<Tracks>* tracks_;
+  std::int64_t* busyNs_;
   std::size_t next_ = 0;
 };
 
@@ -178,6 +185,9 @@ RunOutcome runSweep(const RunOptions& options) {
   const std::size_t nv = keys.size();
   const VariantContext ctx{kWidth, kHeight};
   std::vector<std::int64_t> drawNs(static_cast<std::size_t>(windows), 0);
+  // Time each variant spent in processWindow; every pipeline instance
+  // adds to its own slot (its calls never overlap).
+  std::vector<std::int64_t> processNs(nv, 0);
 
   auto run = [&](RunnerConfig config) {
     ReplaySource source(packed, drawNs);
@@ -195,7 +205,8 @@ RunOutcome runSweep(const RunOptions& options) {
   for (std::size_t v = 0; v < nv; ++v) {
     base.extraPipelines.push_back([&, v] {
       return std::make_unique<Decorated>(variantRegistry().build(keys[v], ctx),
-                                         nullptr, &refTracks[v]);
+                                         nullptr, &refTracks[v],
+                                         &processNs[v]);
     });
   }
   const RunResult reference = run(base).first;
@@ -212,7 +223,7 @@ RunOutcome runSweep(const RunOptions& options) {
   for (std::size_t v = 0; v < nv; ++v) {
     measured.extraPipelines.push_back([&, v] {
       return std::make_unique<Decorated>(variantRegistry().build(keys[v], ctx),
-                                         &doneNs[v], nullptr);
+                                         &doneNs[v], nullptr, &processNs[v]);
     });
   }
   std::vector<std::vector<Tracks>> tracedTracks(nv);
@@ -223,7 +234,7 @@ RunOutcome runSweep(const RunOptions& options) {
       return std::make_unique<Decorated>(
           makeStagedPipeline(*variantRegistry().build(keys[v], ctx),
                              static_cast<std::uint8_t>(v)),
-          nullptr, &tracedTracks[v]);
+          nullptr, &tracedTracks[v], &processNs[v]);
     });
   }
 
@@ -236,19 +247,19 @@ RunOutcome runSweep(const RunOptions& options) {
   std::vector<double> untracedS;
   std::vector<double> tracedS;
   std::uint64_t attempted = 0;
+  LayerExtras extras;
 
   auto round = [&](bool traced) {
     for (auto& t : tracedTracks) {
       t.clear();
     }
+    std::fill(processNs.begin(), processNs.end(), 0);
     const std::int64_t live0 = alloc::liveBytes();
     alloc::resetPeak();
+    const std::uint64_t allocs0 = alloc::count();
     const std::int64_t t0 = trace::nowNs();
-    std::pair<RunResult, std::uint64_t> r;
-    {
-      const trace::Span span(Layer::kRunner);
-      r = run(traced ? staged : measured);
-    }
+    const std::pair<RunResult, std::uint64_t> r =
+        run(traced ? staged : measured);
     const std::int64_t t1 = trace::nowNs();
     const std::uint64_t allocsEnd = alloc::count();
     const double peakMb =
@@ -264,6 +275,13 @@ RunOutcome runSweep(const RunOptions& options) {
                   " tracks differ from the untraced reference");
       }
       tracedS.push_back(wallS);
+      for (const std::int64_t ns : processNs) {
+        extras.busyNs += static_cast<double>(ns);
+      }
+      extras.runnerThreadNs += static_cast<double>(threads) *
+                               static_cast<double>(t1 - t0);
+      extras.runnerAllocs += static_cast<double>(allocsEnd - allocs0);
+      extras.runnerWindows += windows;
       return;
     }
     untracedS.push_back(wallS);
@@ -331,9 +349,9 @@ RunOutcome runSweep(const RunOptions& options) {
     outcome.notes.push_back(roundsNote("latency_p50_us per round", p50Us));
     outcome.notes.push_back(roundsNote("latency_p99_us per round", p99Us));
     MetricSet& m = outcome.metrics;
-    m.add("throughput_wps", best(throughput, true), "1/s");
-    m.add("latency_p50_us", best(p50Us, false), "us");
-    m.add("latency_p99_us", best(p99Us, false), "us");
+    m.add("throughput_wps", median(throughput), "1/s");
+    m.add("latency_p50_us", median(p50Us), "us");
+    m.add("latency_p99_us", lowestQuarter(p99Us), "us");
     m.add("precision_iou30", pr.precision(), "ratio");
     m.add("recall_iou30", pr.recall(), "ratio");
     m.add("setup_s", median(setupS), "s");
@@ -341,8 +359,6 @@ RunOutcome runSweep(const RunOptions& options) {
     m.add("allocs_per_window", median(allocsPerWindow), "count");
     return outcome;
   }
-  LayerExtras extras;
-  extras.runnerThreads = threads;
   extras.overheadFrac = median(tracedS) / median(untracedS) - 1.0;
   addLayerMetrics(trace::totals(), extras, keys, outcome.metrics);
   return outcome;

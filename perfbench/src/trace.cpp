@@ -76,7 +76,6 @@ const char* layerKey(Layer layer) {
     case Layer::kSessionOffer: return "node.session";
     case Layer::kSupervisorPump: return "node.supervisor";
     case Layer::kSink: return "node.sink";
-    case Layer::kRunner: return "core.runner";
     case Layer::kFrontEnd: return "core.front_end";
     case Layer::kEbbiBuild: return "ebbi.build";
     case Layer::kMedian: return "filters.median";
@@ -89,6 +88,7 @@ const char* layerKey(Layer layer) {
     case Layer::kNnFilter: return "filters.nn";
     case Layer::kEbms: return "trackers.ebms";
     case Layer::kObserver: return "bench.observer";
+    case Layer::kSource: return "bench.source";
     case Layer::kCount: break;
   }
   return "unknown";
@@ -161,15 +161,10 @@ Span::~Span() {
   cell.totalNs += dur;
   cell.selfNs += self;
   cell.selfAllocs += allocs - f.childAllocs;
-  if (self < 0) {
-    s.totals.negativeSelfNs -= self;
-  }
   if (s.depth > 0) {
     Frame& parent = s.stack[s.depth - 1];
     parent.childNs += dur;
     parent.childAllocs += allocs;
-  } else {
-    s.totals.rootNs += dur;
   }
   if (f.record >= 0) {
     SpanRecord& r = s.spans[static_cast<std::size_t>(f.record)];
@@ -221,8 +216,6 @@ Totals totals() {
     for (std::size_t c = 0; c < kCounterCount; ++c) {
       out.counters[c] += s->totals.counters[c];
     }
-    out.rootNs += s->totals.rootNs;
-    out.negativeSelfNs += s->totals.negativeSelfNs;
   }
   return out;
 }

@@ -20,13 +20,13 @@
 
 namespace perfbench::trace {
 
-/// Instrumented layer boundaries.  kObserver is the benchmark's own
-/// track capture; it is not a layer of the system.
+/// Instrumented layer boundaries.  kObserver (track capture) and kSource
+/// (the sweep's replay draw) are the benchmark's own code, not layers of
+/// the system.
 enum class Layer : std::uint8_t {
   kSessionOffer,    ///< NodeSupervisor::offerBytes
   kSupervisorPump,  ///< NodeSupervisor::pump
   kSink,            ///< PipelineSink::onWindow
-  kRunner,          ///< runRecording
   kFrontEnd,        ///< frame front end (EBBI -> median -> proposer)
   kEbbiBuild,       ///< EbbiBuilder::buildInto
   kMedian,          ///< MedianFilter::applyInto
@@ -39,6 +39,7 @@ enum class Layer : std::uint8_t {
   kNnFilter,        ///< NnFilter::filterInto
   kEbms,            ///< EbmsTracker::processPacket + visibleTracksInto
   kObserver,        ///< benchmark track capture (not a system layer)
+  kSource,          ///< benchmark replay draw (not a system layer)
   kCount,
 };
 inline constexpr std::size_t kLayerCount =
@@ -103,9 +104,6 @@ struct Totals {
   };
   std::array<std::array<Cell, kMaxVariants + 1>, kLayerCount> cells{};
   std::array<std::uint64_t, kCounterCount> counters{};
-  std::int64_t rootNs = 0;  ///< summed durations of spans with no parent
-  std::int64_t negativeSelfNs = 0;  ///< |self| of spans whose children
-                                    ///< outlasted them (nesting errors)
 
   /// Cell summed over variants (index kMaxVariants holds untagged spans).
   [[nodiscard]] Cell layer(Layer l) const;

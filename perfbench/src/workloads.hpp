@@ -16,7 +16,7 @@ struct RunOptions {
   double seconds = 10.0;
   bool trace = false;
   bool smoke = false;        ///< seconds-long run on a small corpus
-  int threads = 3;           ///< threads the workload may use
+  int threads = 3;           ///< threads the sweep may use (fleets: 1)
   double ebbiotRateWps = 0;  ///< open-loop offered rate, fleet_ebbiot
   double ebmsRateWps = 0;    ///< open-loop offered rate, fleet_ebms
 };
@@ -43,7 +43,17 @@ struct LayerExtras {
   double backlogMax = 0;
   double windowsCoasted = 0;
   double resyncRestores = 0;
-  double runnerThreads = 0;  ///< threads the runner ran on (busy frac)
+  /// Traced total measured outside the spans, that the system layers'
+  /// self times must add up to: the fleet thread's phase wall time minus
+  /// its waits for due times, or the sweep's summed processWindow time
+  /// of every variant (timed by the decorator around each pipeline).
+  double busyNs = 0;
+  /// Sweep: runner threads x runRecording wall time, the allocations
+  /// made during runRecording, and the recording windows, summed over
+  /// the traced rounds.
+  double runnerThreadNs = 0;
+  double runnerAllocs = 0;
+  double runnerWindows = 0;
   double genLagP99Us = 0;
   double overheadFrac = 0;
   double failedFrac = 0;
@@ -53,8 +63,8 @@ struct LayerExtras {
 /// Every per-layer metric, in BENCHMARK.json order, from the traced
 /// aggregates plus the workload's extras.  `variantTags[i]` names the
 /// registry variant whose spans carry tag i.  Also checks trace
-/// consistency (no span outlasted by its children; layer self times sum
-/// to within 5% of the traced total).
+/// consistency: the system layers' self times sum to 95-100% of
+/// `extras.busyNs`.
 void addLayerMetrics(const trace::Totals& totals, const LayerExtras& extras,
                      const std::vector<std::string>& variantTags,
                      MetricSet& out);
