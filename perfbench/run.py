@@ -4,7 +4,7 @@
 Usage (from the repository root):
 
     python3 perfbench/run.py --workload fleet_ebbiot --seed 1 \
-        --seconds 25 --trace 0 --ebbiot-rate R --ebms-rate R [--smoke]
+        --seconds 30 --trace 0 --ebbiot-rate R --ebms-rate R [--smoke]
 
 Configures and builds perfbench/ (which builds the library from src/)
 into .bench_build/perfbench on first use, then runs the benchmark binary

@@ -22,10 +22,10 @@ void check(bool ok, const std::string& what);
 [[nodiscard]] double median(std::vector<double> values);
 
 /// Median of the lowest ceil(n / 4) of a run's per-round values: the
-/// estimate of a latency tail.  Rounds replay identical inputs, so they
-/// differ only by interference from outside the process, and one stall of
-/// a few milliseconds multiplies a round's p99; the lowest rounds are the
-/// undisturbed measurements of the same work.
+/// fleets' estimate of a latency tail.  Rounds replay identical inputs, so
+/// they differ only by interference from outside the process, and one
+/// stall of a few milliseconds multiplies a round's p99; the lowest rounds
+/// are the undisturbed measurements of the same work.
 [[nodiscard]] double lowestQuarter(std::vector<double> rounds);
 
 /// "name: v1 v2 ... | quartiles q1 q2 q3" summary line of per-round
