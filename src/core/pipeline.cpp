@@ -15,11 +15,16 @@ EbmsPipeline::EbmsPipeline(const EbmsPipelineConfig& config, std::string name)
 }
 
 Tracks EbmsPipeline::processWindow(const EventPacket& packet) {
+  Tracks out;
+  processWindowInto(packet, out);
+  return out;
+}
+
+void EbmsPipeline::processWindowInto(const EventPacket& packet, Tracks& out) {
   // The intermediate packets and the tracks vector are reused members:
   // after one warm-up window the event-domain steady state allocates
-  // nothing internally (like the frame path) — the only remaining
-  // allocation is the by-value copy the uniform Pipeline interface
-  // returns.
+  // nothing internally (like the frame path); only processWindow()'s
+  // by-value return does.
   const EventPacket* in = &packet;
   if (refractory_.has_value()) {
     refractory_->filterInto(packet, refracted_);
@@ -31,7 +36,7 @@ Tracks EbmsPipeline::processWindow(const EventPacket& packet) {
   tracker_.processPacket(filtered_);
   stageOps_.ebms = tracker_.lastOps();
   tracker_.visibleTracksInto(tracks_);
-  return tracks_;
+  out = tracks_;  // copy-assign: reuses out's capacity
 }
 
 std::unique_ptr<PipelineSnapshot> EbmsPipeline::makeSnapshot() const {

@@ -52,8 +52,9 @@ enum class InputDomain {
 /// event-surface history — everything that carries information from one
 /// window into the next).  Obtained from Pipeline::makeSnapshot() and
 /// only meaningful with pipelines of the same concrete type and config;
-/// the node recovery layer (src/node/pipeline_sink.*) keeps one rolling
-/// snapshot per sensor and restores it when a stream resyncs.
+/// the node recovery layer (src/node/pipeline_sink.*) keeps one snapshot
+/// per sensor, saved when idle coasting starts, and restores it when the
+/// stream resyncs.
 class PipelineSnapshot {
  public:
   virtual ~PipelineSnapshot() = default;
@@ -73,6 +74,14 @@ class Pipeline {
 
   /// Process one window's packet; returns the reported tracks.
   virtual Tracks processWindow(const EventPacket& packet) = 0;
+
+  /// processWindow() writing the tracks into `out`, reusing its capacity.
+  /// The default assigns processWindow()'s result; pipelines that keep
+  /// their tracks in a member override it, so a warm caller (the node's
+  /// PipelineSink) allocates nothing for the tracks.
+  virtual void processWindowInto(const EventPacket& packet, Tracks& out) {
+    out = processWindow(packet);
+  }
 
   /// Total measured ops of the most recent window (all stages).
   /// ops-model: composite — sum of per-stage records, each with its own model.
@@ -349,6 +358,7 @@ class EbmsPipeline final : public Pipeline {
   /// Process one *stream-mode* window; returns visible clusters at the
   /// window end.
   Tracks processWindow(const EventPacket& packet) override;
+  void processWindowInto(const EventPacket& packet, Tracks& out) override;
 
   [[nodiscard]] OpCounts lastOps() const override { return stageOps_.total(); }
   [[nodiscard]] const std::string& name() const override { return name_; }

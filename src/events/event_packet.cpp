@@ -39,7 +39,13 @@ void EventPacket::push(const Event& e) {
 
 std::span<Event> EventPacket::appendBuffer(std::size_t count) {
   appendBase_ = events_.size();
-  events_.resize(appendBase_ + count);
+  const std::size_t need = appendBase_ + count;
+  if (need > events_.capacity()) {
+    // Geometric growth: resize() alone would grow to exactly `need` when
+    // the packet was just reset, reallocating on every larger window.
+    events_.reserve(std::max(need, 2 * events_.capacity()));
+  }
+  events_.resize(need);
   return {events_.data() + appendBase_, count};
 }
 

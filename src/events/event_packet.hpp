@@ -48,7 +48,8 @@ class EventPacket {
   /// The caller overwrites a prefix (e.g. writing each surviving event
   /// unconditionally and bumping its cursor branch-free) and then calls
   /// commitAppended() to drop the unused tail.  No other mutation may
-  /// run between the two calls.
+  /// run between the two calls.  Capacity grows geometrically, so a
+  /// reused packet reallocates O(log n) times over rising window sizes.
   std::span<Event> appendBuffer(std::size_t count);
 
   /// Keep only the first `kept` events of the last appendBuffer() span;

@@ -27,6 +27,7 @@ SensorSession& NodeSupervisor::addSensor(const SensorSpec& spec) {
   entry.sink = spec.sink;
   entry.session = std::make_unique<SensorSession>(spec.sensorId, config_);
   entries_.push_back(std::move(entry));
+  indexById_.emplace(spec.sensorId, entries_.size() - 1);
 
   shedOrder_.resize(entries_.size());
   for (std::size_t i = 0; i < shedOrder_.size(); ++i) {
@@ -43,12 +44,9 @@ SensorSession& NodeSupervisor::addSensor(const SensorSpec& spec) {
 }
 
 SensorSession* NodeSupervisor::find(std::uint16_t sensorId) {
-  for (Entry& entry : entries_) {
-    if (entry.sensorId == sensorId) {
-      return entry.session.get();
-    }
-  }
-  return nullptr;
+  const auto it = indexById_.find(sensorId);
+  return it == indexById_.end() ? nullptr
+                                 : entries_[it->second].session.get();
 }
 
 void NodeSupervisor::offerBytes(std::uint16_t sensorId,

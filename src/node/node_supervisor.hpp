@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/thread_pool.hpp"
@@ -91,6 +92,9 @@ class NodeSupervisor {
   NodeConfig config_;
   ThreadPool& pool_;
   std::vector<Entry> entries_;
+  /// Sensor id -> entry index, so producer calls find their session in
+  /// O(1) however many sensors the node serves.
+  std::unordered_map<std::uint16_t, std::size_t> indexById_;
   /// Entry indices in shed order: ascending priority, then ascending id.
   std::vector<std::size_t> shedOrder_;
 };

@@ -1,7 +1,5 @@
 #include "src/node/pipeline_sink.hpp"
 
-#include <algorithm>
-
 #include "src/common/error.hpp"
 
 namespace ebbiot {
@@ -9,14 +7,10 @@ namespace ebbiot {
 PipelineSink::PipelineSink(std::unique_ptr<Pipeline> pipeline, int width,
                            int height, const PipelineSinkConfig& config)
     : pipeline_(std::move(pipeline)),
-      width_(width),
-      height_(height),
-      config_(config) {
+      config_(config),
+      latch_(width, height) {
   EBBIOT_ASSERT(pipeline_ != nullptr);
-  EBBIOT_ASSERT(width_ > 0 && height_ > 0);
   snapshot_ = pipeline_->makeSnapshot();
-  latchEpochs_.resize(
-      static_cast<std::size_t>(width_) * static_cast<std::size_t>(height_), 0);
 }
 
 void PipelineSink::onWindow(const EventPacket& window, std::uint32_t seq,
@@ -25,7 +19,6 @@ void PipelineSink::onWindow(const EventPacket& window, std::uint32_t seq,
   if (!primed_) {
     trackWindow(window, seq);
     primed_ = true;
-    saveRollingSnapshot();
     return;
   }
   bool resynced = false;
@@ -51,12 +44,20 @@ void PipelineSink::onWindow(const EventPacket& window, std::uint32_t seq,
     }
   }
   trackWindow(window, seq);
-  saveRollingSnapshot();
 }
 
 bool PipelineSink::coastIdle() {
   if (!primed_ || idleCoasted_ >= config_.maxCoastWindows) {
     return false;
+  }
+  if (idleCoasted_ == 0 && config_.resync == ResyncPolicy::kRestoreSnapshot &&
+      snapshot_ != nullptr) {
+    // The outage starts: keep the last observed state for the resync
+    // that ends it.  A snapshot of this pipeline's own making always
+    // saves and restores (only a type mismatch fails), so applyResync()
+    // needs no reset fallback for it.
+    const bool saved = pipeline_->saveState(*snapshot_);
+    EBBIOT_ASSERT(saved);
   }
   ++idleCoasted_;
   ++counters_.idleCoastWindows;
@@ -65,11 +66,12 @@ bool PipelineSink::coastIdle() {
 }
 
 void PipelineSink::trackWindow(const EventPacket& window, std::uint32_t seq) {
-  const EventPacket& input =
-      pipeline_->inputDomain() == InputDomain::kLatchedFrame
-          ? latchInto(window)
-          : window;
-  lastTracks_ = pipeline_->processWindow(input);
+  const EventPacket* input = &window;
+  if (pipeline_->inputDomain() == InputDomain::kLatchedFrame) {
+    latch_.readInto(window, latched_);
+    input = &latched_;
+  }
+  pipeline_->processWindowInto(*input, lastTracks_);
   ++counters_.windowsTracked;
   expectedSeq_ = seq + 1;
   lastTEnd_ = window.tEnd();
@@ -87,43 +89,25 @@ void PipelineSink::coastOneWindow() {
   // needs no latch step: the tracker sees zero measurements and applies
   // its own miss/coast discipline.
   coastWindow_.reset(lastTEnd_, lastTEnd_ + lastDuration_);
-  lastTracks_ = pipeline_->processWindow(coastWindow_);
+  pipeline_->processWindowInto(coastWindow_, lastTracks_);
   lastTEnd_ += lastDuration_;
   ++counters_.windowsCoasted;
 }
 
 void PipelineSink::applyResync() {
-  if (config_.resync == ResyncPolicy::kRestoreSnapshot && snapshotValid_ &&
-      pipeline_->restoreState(*snapshot_)) {
+  if (config_.resync == ResyncPolicy::kRestoreSnapshot &&
+      snapshot_ != nullptr) {
+    // After idle coasting the snapshot holds the last observed state;
+    // otherwise the live state is that state already.
+    if (idleCoasted_ > 0) {
+      const bool restored = pipeline_->restoreState(*snapshot_);
+      EBBIOT_ASSERT(restored);
+    }
     ++counters_.resyncRestores;
     return;
   }
   pipeline_->resetState();
   ++counters_.resyncResets;
-}
-
-void PipelineSink::saveRollingSnapshot() {
-  snapshotValid_ =
-      snapshot_ != nullptr && pipeline_->saveState(*snapshot_);
-}
-
-const EventPacket& PipelineSink::latchInto(const EventPacket& window) {
-  if (++latchEpoch_ == 0) {
-    // Epoch counter wrapped: invalidate every stale marking once.
-    std::fill(latchEpochs_.begin(), latchEpochs_.end(), 0u);
-    latchEpoch_ = 1;
-  }
-  latched_.reset(window.tStart(), window.tEnd());
-  for (const Event& e : window) {
-    EBBIOT_ASSERT(e.x < width_ && e.y < height_);
-    std::uint32_t& cell =
-        latchEpochs_[static_cast<std::size_t>(e.y) * width_ + e.x];
-    if (cell != latchEpoch_) {
-      cell = latchEpoch_;
-      latched_.push(e);
-    }
-  }
-  return latched_;
 }
 
 }  // namespace ebbiot

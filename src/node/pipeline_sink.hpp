@@ -13,16 +13,20 @@
 //     coastIdle() keeps issuing empty windows — bounded by
 //     maxCoastWindows — so the node keeps reporting predicted tracks
 //     through a short outage.
-//   * Snapshot/restore resync: after every real window the pipeline's
-//     cross-window state is saved into a rolling PipelineSnapshot
-//     (allocation-free once warm; see Pipeline::saveState).  When the
-//     stream resyncs — an unbridgeable gap, a rebased sequence space
-//     after a watchdog re-adopt, or the first real window after blind
-//     idle coasting — the ResyncPolicy decides between restoring that
-//     last observed state (kRestoreSnapshot: tracks survive the outage
-//     frozen at their last confirmed positions, blind predictions are
-//     rolled back) and resetting the pipeline (kReset: the outage is
-//     treated as a scene change).
+//   * Snapshot/restore resync: when the stream resyncs — an unbridgeable
+//     gap, a rebased sequence space after a watchdog re-adopt, or the
+//     first real window after blind idle coasting — the ResyncPolicy
+//     decides between restoring the last observed state
+//     (kRestoreSnapshot: tracks survive the outage frozen at their last
+//     confirmed positions, blind predictions are rolled back) and
+//     resetting the pipeline (kReset: the outage is treated as a scene
+//     change).  The last observed state is the one after the last real
+//     window, and only blind idle coasting ever moves the pipeline past
+//     it before a resync.  So the PipelineSnapshot is saved once per
+//     outage, when idle coasting starts (allocation-free once it has held
+//     a state as large; see Pipeline::saveState).  A resync without idle
+//     coasting copies nothing: the live state already is the last
+//     observed state, and the restore is only counted.
 //
 // Threading: a PipelineSink is consumer-side state of exactly one
 // session; it runs wherever that session's drainInto runs (one shard of
@@ -32,12 +36,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "src/common/time.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/events/event_packet.hpp"
 #include "src/node/sensor_session.hpp"
+#include "src/sim/latch_readout.hpp"
 
 namespace ebbiot {
 
@@ -106,14 +110,8 @@ class PipelineSink final : public WindowSink {
   void trackWindow(const EventPacket& window, std::uint32_t seq);
   void coastOneWindow();
   void applyResync();
-  void saveRollingSnapshot();
-  /// latchReadout() semantics (first event per pixel survives) into the
-  /// reused member packet — no per-window allocation once warm.
-  const EventPacket& latchInto(const EventPacket& window);
 
   std::unique_ptr<Pipeline> pipeline_;
-  int width_;
-  int height_;
   PipelineSinkConfig config_;
 
   bool primed_ = false;
@@ -122,13 +120,13 @@ class PipelineSink final : public WindowSink {
   TimeUs lastDuration_ = kDefaultFramePeriodUs;
   std::uint32_t idleCoasted_ = 0;  ///< blind windows this outage
 
+  /// Last observed state, saved when idle coasting starts; nullptr when
+  /// the pipeline has no snapshot support.
   std::unique_ptr<PipelineSnapshot> snapshot_;
-  bool snapshotValid_ = false;
 
-  EventPacket latched_;      ///< reused latch-readout scratch
+  PixelLatch latch_;         ///< latch readout for frame-domain pipelines
+  EventPacket latched_;      ///< reused latch-readout output
   EventPacket coastWindow_;  ///< reused empty window for coasting
-  std::vector<std::uint32_t> latchEpochs_;  ///< per pixel, epoch marking
-  std::uint32_t latchEpoch_ = 0;
 
   Tracks lastTracks_;
   Counters counters_;

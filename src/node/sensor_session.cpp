@@ -29,7 +29,6 @@ SensorSession::SensorSession(std::uint16_t sensorId, const NodeConfig& config)
       config_(config),
       parser_(config),  // validates the config
       queue_(config.queueCapacity) {
-  frame_.events.reserve(config.maxEventsPerFrame);
   latency_.resize(config.latencySampleCapacity);
 }
 
@@ -117,12 +116,12 @@ void SensorSession::processFrame(const DecodedFrame& frame, TimeUs now) {
   const TimeUs tStart = when.t;
   const TimeUs tEnd = tStart + frame.durationUs;
   const bool queued = queue_.tryEmplace([&](WindowSlot& slot) {
+    // The frame's records are decoded exactly once, straight into the
+    // slot the consumer will read.
+    const std::size_t count = frame.eventCount();
     slot.window.reset(tStart, tEnd);
-    for (const Event& e : frame.events) {
-      Event absolute = e;
-      absolute.t = tStart + e.t;  // decoded t holds the dt
-      slot.window.push(absolute);
-    }
+    decodeRecords(frame.records, tStart, slot.window.appendBuffer(count));
+    slot.window.commitAppended(count);
     slot.seq = frame.seq;
     slot.ingestTime = now;
   });

@@ -197,7 +197,7 @@ class SensorSession {
   FrameParser parser_;
   TimestampUnwrapper unwrapper_;
   SpscQueue<WindowSlot> queue_;
-  DecodedFrame frame_;  ///< reused per decode (events capacity persists)
+  DecodedFrame frame_;  ///< header + records view of the current frame
 
   std::atomic<SessionState> state_{SessionState::kSyncing};
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -10,19 +11,31 @@
 namespace ebbiot {
 namespace {
 
-constexpr std::array<std::uint32_t, 256> makeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial: kCrcTables[0]
+/// is the classic bytewise table; kCrcTables[k][i] is the CRC of byte i
+/// followed by k zero bytes, so eight table lookups advance the CRC by
+/// eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables makeCrcTables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = makeCrcTable();
+constexpr CrcTables kCrcTables = makeCrcTables();
 
 template <typename T>
 void putLe(std::vector<std::byte>& out, T value) {
@@ -32,13 +45,20 @@ void putLe(std::vector<std::byte>& out, T value) {
   }
 }
 
+/// Little-endian load from unaligned wire bytes, correct on any host.
 template <typename T>
 T getLe(const std::byte* p) {
-  std::uint64_t v = 0;
-  for (std::size_t i = sizeof(T); i-- > 0;) {
-    v = (v << 8) | static_cast<std::uint64_t>(p[i]);
+  if constexpr (std::endian::native == std::endian::little) {
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+  } else {
+    std::uint64_t v = 0;
+    for (std::size_t i = sizeof(T); i-- > 0;) {
+      v = (v << 8) | static_cast<std::uint64_t>(p[i]);
+    }
+    return static_cast<T>(v);
   }
-  return static_cast<T>(v);
 }
 
 template <typename T>
@@ -52,9 +72,19 @@ void storeLe(std::byte* p, T value) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> bytes) {
+  const auto& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::byte b : bytes) {
-    c = kCrcTable[(c ^ static_cast<std::uint32_t>(b)) & 0xFFu] ^ (c >> 8);
+  const std::byte* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = getLe<std::uint32_t>(p) ^ c;
+    const std::uint32_t hi = getLe<std::uint32_t>(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    c = t[0][(c ^ static_cast<std::uint32_t>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -117,6 +147,19 @@ void setFrameSeq(std::span<std::byte> frame, std::uint32_t value) {
   storeLe(frame.data() + kFrameSeqOffset, value);
 }
 
+void decodeRecords(std::span<const std::byte> records, TimeUs tStart,
+                   std::span<Event> out) {
+  EBBIOT_ASSERT(records.size() == out.size() * kFrameEventSize);
+  const std::byte* rec = records.data();
+  for (Event& e : out) {
+    e.x = getLe<std::uint16_t>(rec);
+    e.y = getLe<std::uint16_t>(rec + 2);
+    e.p = static_cast<Polarity>(getLe<std::int8_t>(rec + 4));
+    e.t = tStart + static_cast<TimeUs>(getLe<std::uint32_t>(rec + 5));
+    rec += kFrameEventSize;
+  }
+}
+
 TimestampUnwrapper::Result TimestampUnwrapper::unwrap(std::uint32_t t32) {
   Result r;
   if (!primed_) {
@@ -153,8 +196,8 @@ void TimestampUnwrapper::reset() {
 }
 
 FrameParser::FrameParser(const NodeConfig& config)
-    : width_(config.width),
-      height_(config.height),
+    : width_(static_cast<std::uint32_t>(config.width)),
+      height_(static_cast<std::uint32_t>(config.height)),
       maxEvents_(config.maxEventsPerFrame),
       maxBuffer_(config.effectiveBufferBytes()) {
   config.validate();
@@ -232,29 +275,35 @@ FrameParser::Probe FrameParser::probe(DecodedFrame& out) {
   if (storedCrc != actualCrc) {
     return Probe::kCorrupt;
   }
+  const std::byte* records = p + kFrameHeaderSize;
+  if (!recordsValid(records, eventCount, duration)) {
+    // CRC-valid but semantically impossible: a buggy or hostile sender.
+    return Probe::kCorrupt;
+  }
   out.seq = getLe<std::uint32_t>(p + kFrameSeqOffset);
   out.sensorId = getLe<std::uint16_t>(p + kFrameSensorIdOffset);
   out.windowStart32 = getLe<std::uint32_t>(p + kFrameWindowStartOffset);
   out.durationUs = duration;
-  out.events.clear();
-  const std::byte* rec = p + kFrameHeaderSize;
-  for (std::uint32_t i = 0; i < eventCount; ++i, rec += kFrameEventSize) {
-    Event e;
-    e.x = getLe<std::uint16_t>(rec);
-    e.y = getLe<std::uint16_t>(rec + 2);
-    const auto rawP = getLe<std::int8_t>(rec + 4);
-    const std::uint32_t dt = getLe<std::uint32_t>(rec + 5);
-    if ((rawP != 1 && rawP != -1) || static_cast<int>(e.x) >= width_ ||
-        static_cast<int>(e.y) >= height_ || dt >= duration) {
-      // CRC-valid but semantically impossible: a buggy or hostile sender.
-      return Probe::kCorrupt;
-    }
-    e.p = static_cast<Polarity>(rawP);
-    e.t = static_cast<TimeUs>(dt);
-    out.events.push_back(e);
-  }
+  out.records = {records, eventCount * kFrameEventSize};
   pos_ += total;
   return Probe::kFrame;
+}
+
+bool FrameParser::recordsValid(const std::byte* records, std::uint32_t count,
+                               std::uint32_t duration) const {
+  // No early exit: valid frames (the steady state) scan every record
+  // anyway, and one accumulated verdict keeps the loop free of
+  // data-dependent branches.
+  bool bad = false;
+  for (std::uint32_t i = 0; i < count; ++i, records += kFrameEventSize) {
+    const auto x = getLe<std::uint16_t>(records);
+    const auto y = getLe<std::uint16_t>(records + 2);
+    const auto rawP = getLe<std::int8_t>(records + 4);
+    const auto dt = getLe<std::uint32_t>(records + 5);
+    bad |= (rawP != 1 && rawP != -1) || x >= width_ || y >= height_ ||
+           dt >= duration;
+  }
+  return !bad;
 }
 
 FrameParser::Status FrameParser::next(DecodedFrame& out) {

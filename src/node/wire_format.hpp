@@ -82,16 +82,29 @@ void setFrameWindowStart32(std::span<std::byte> frame, std::uint32_t value);
 [[nodiscard]] std::uint32_t frameSeq(std::span<const std::byte> frame);
 void setFrameSeq(std::span<std::byte> frame, std::uint32_t value);
 
-/// One structurally valid, CRC-checked frame, decoded.  Event timestamps
-/// are still *relative* (Event::t = dt); the session adds the unwrapped
-/// 64-bit window start.
+/// One structurally valid, CRC-checked frame.  The header fields are
+/// decoded; the events stay in their wire form as a view of the frame's
+/// validated 9-byte records inside the parser's reassembly buffer, so a
+/// consumer decodes them exactly once, straight into its own storage
+/// (decodeRecords).  The view is valid until the next offer() or next()
+/// call on the parser that produced it.
 struct DecodedFrame {
   std::uint32_t seq = 0;
   std::uint16_t sensorId = 0;
   std::uint32_t windowStart32 = 0;
   std::uint32_t durationUs = 0;
-  std::vector<Event> events;  ///< reused across frames; t holds dt
+  std::span<const std::byte> records;  ///< eventCount() * kFrameEventSize
+
+  [[nodiscard]] std::size_t eventCount() const {
+    return records.size() / kFrameEventSize;
+  }
 };
+
+/// Decode validated event records (a DecodedFrame's view) into `out`,
+/// one Event per record, with absolute time tStart + dt.  `out` must hold
+/// exactly records.size() / kFrameEventSize events.
+void decodeRecords(std::span<const std::byte> records, TimeUs tStart,
+                   std::span<Event> out);
 
 /// Reconstructs monotonic 64-bit microsecond time from the wrapping
 /// 32-bit window-start values on the wire.  Forward steps (shortest
@@ -124,11 +137,13 @@ class TimestampUnwrapper {
 /// Streaming frame reassembler + validator with resync-on-corruption.
 ///
 /// offer() appends transport bytes (dropping, with a counter, anything
-/// beyond the bounded reassembly buffer); next() yields decoded frames
-/// until the buffer holds no complete frame.  A corrupt prefix — wrong
-/// magic, implausible header, CRC mismatch, out-of-bounds event — is
-/// skipped byte by byte to the next magic candidate; each contiguous
-/// skip is one resync episode.
+/// beyond the bounded reassembly buffer); next() yields validated frames
+/// until the buffer holds no complete frame.  Validation checks the CRC
+/// and every event record (polarity, bounds, dt < duration) in place,
+/// without decoding anything.  A corrupt prefix — wrong magic,
+/// implausible header, CRC mismatch, impossible event — is skipped byte
+/// by byte to the next magic candidate; each contiguous skip is one
+/// resync episode.
 class FrameParser {
  public:
   /// Geometry and limits come from the validated NodeConfig.
@@ -142,7 +157,8 @@ class FrameParser {
     kFrame,     ///< `out` holds the next valid frame
   };
   /// Producer side: extract the next valid frame, resyncing past any
-  /// corruption encountered on the way.
+  /// corruption encountered on the way.  `out.records` points into the
+  /// reassembly buffer and is invalidated by the next offer() or next().
   Status next(DecodedFrame& out);
 
   /// Transport/corruption tallies (producer side; read when quiescent).
@@ -165,11 +181,16 @@ class FrameParser {
   /// Result of examining the frame candidate at pos_.
   enum class Probe { kNeedMore, kFrame, kCorrupt, kNoMagic };
   Probe probe(DecodedFrame& out);
+  /// True when every record is a possible event for this geometry and
+  /// window duration.
+  [[nodiscard]] bool recordsValid(const std::byte* records,
+                                  std::uint32_t count,
+                                  std::uint32_t duration) const;
   void compact();
   void skipForward();  ///< advance pos_ to the next magic candidate
 
-  int width_;
-  int height_;
+  std::uint32_t width_;
+  std::uint32_t height_;
   std::uint32_t maxEvents_;
   std::size_t maxBuffer_;
   std::vector<std::byte> buf_;  ///< reassembly buffer; reserved up front

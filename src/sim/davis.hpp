@@ -32,6 +32,7 @@
 #include "src/common/rng.hpp"
 #include "src/common/time.hpp"
 #include "src/events/event_packet.hpp"
+#include "src/sim/latch_readout.hpp"
 #include "src/sim/scene.hpp"
 
 namespace ebbiot {
@@ -91,15 +92,6 @@ class DavisSimulator final : public EventSource {
   std::vector<std::uint32_t> hotPixels_;
   Rng rng_;
 };
-
-/// Latch ("sensor as memory") readout, Section II-A: while the processor
-/// sleeps, a pixel that has fired is not reset, so at most one event per
-/// pixel survives per readout window.  This adapter keeps the *first*
-/// event of each pixel in the packet and drops the rest — applying it to a
-/// stream-mode packet yields exactly what the duty-cycled EBBIOT processor
-/// would read.
-[[nodiscard]] EventPacket latchReadout(const EventPacket& packet, int width,
-                                       int height);
 
 /// EventSource decorator applying latchReadout() to every window.
 class LatchedSource final : public EventSource {

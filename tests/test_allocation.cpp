@@ -9,16 +9,20 @@
 // other test is unaffected beyond a relaxed atomic increment).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/common/alloc_counter.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/front_end.hpp"
+#include "src/core/pipeline.hpp"
 #include "src/detect/cca_reference.hpp"
 #include "src/filters/median_filter_incremental.hpp"
 #include "src/filters/nn_filter.hpp"
+#include "src/node/pipeline_sink.hpp"
 #include "src/node/sensor_session.hpp"
+#include "src/sim/latch_readout.hpp"
 #include "src/node/wire_format.hpp"
 #include "src/trackers/ebms.hpp"
 
@@ -200,11 +204,12 @@ TEST(AllocationAuditTest, SensorSessionHotPathAllocatesNothing) {
 #ifdef EBBIOT_ALLOC_COUNTER_DISABLED
   GTEST_SKIP() << "allocation counting disabled under sanitizers";
 #endif
-  // The ingest hot path — offerBytes (parser reassembly + decode into the
-  // reused DecodedFrame) through the SPSC ring (per-slot EventPacket reset
-  // + push) to drainInto — must be allocation-free once every ring slot's
-  // window has grown to the stream's event count.  Frames are pre-encoded
-  // so only session machinery is measured.
+  // The ingest hot path — offerBytes (parser reassembly + in-place
+  // validation) through the SPSC ring (records decoded straight into
+  // each slot's reused EventPacket) to drainInto — must be
+  // allocation-free once every ring slot's window has grown to the
+  // stream's event count.  Frames are pre-encoded so only session
+  // machinery is measured.
   NodeConfig config;
   config.width = 64;
   config.height = 48;
@@ -256,6 +261,106 @@ TEST(AllocationAuditTest, SensorSessionHotPathAllocatesNothing) {
   EXPECT_EQ(session.counters().framesAccepted, 64U);
   EXPECT_EQ(sink.windows, 64U);
   EXPECT_EQ(sink.events, 64U * 40U);
+}
+
+TEST(AllocationAuditTest, SessionIntoEbmsPipelineSinkAllocatesNothing) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  // The whole node path of one sensor, wire bytes to tracks: offerBytes
+  // (reassembly, CRC, in-place validation, decode into the queue slot)
+  // -> drainInto -> PipelineSink -> EbmsPipeline (NN filter -> EBMS) ->
+  // tracks copied into the sink's reused vector.  Once warm it must not
+  // allocate, including across an idle-coast episode and the snapshot
+  // restore that ends it.  (The snapshot is saved only when coasting
+  // starts, so its vectors reach the live state's high-water capacity
+  // over coast episodes; the warm-up holds one on the same steady scene.)
+  NodeConfig config;
+  config.maxEventsPerFrame = 1024;
+  SensorSession session(3, config);
+  PipelineSink sink(std::make_unique<EbmsPipeline>(EbmsPipelineConfig{}),
+                    config.width, config.height, PipelineSinkConfig{});
+
+  constexpr TimeUs kPeriod = 66'000;
+  constexpr int kEventsPerWindow = 600;
+  Rng rng(77);
+  std::vector<std::vector<std::byte>> frames;
+  for (std::uint32_t seq = 0; seq < 96; ++seq) {
+    // A steady blob plus salt noise: one cluster persists.
+    const TimeUs tStart = static_cast<TimeUs>(seq) * kPeriod;
+    EventPacket window(tStart, tStart + kPeriod);
+    for (int i = 0; i < kEventsPerWindow; ++i) {
+      const bool noise = i % 10 == 0;
+      const int x = noise ? static_cast<int>(rng.uniformInt(0, 239))
+                          : 40 + static_cast<int>(rng.uniformInt(0, 39));
+      const int y = noise ? static_cast<int>(rng.uniformInt(0, 179))
+                          : 70 + static_cast<int>(rng.uniformInt(0, 29));
+      window.push(Event{static_cast<std::uint16_t>(x),
+                        static_cast<std::uint16_t>(y), Polarity::kOn,
+                        tStart + static_cast<TimeUs>(i) * 100});
+    }
+    std::vector<std::byte> bytes;
+    encodeFrame(bytes, seq, 3, window);
+    frames.push_back(std::move(bytes));
+  }
+
+  const auto step = [&](std::uint32_t seq) {
+    const TimeUs now = static_cast<TimeUs>(seq + 1) * kPeriod;
+    session.offerBytes(frames[seq], now);
+    (void)session.drainInto(sink, now);
+  };
+  // Warm-up: every ring slot, the NN/EBMS state and the snapshot (one
+  // idle-coast episode) reach their capacity.
+  std::uint32_t seq = 0;
+  for (; seq < 40; ++seq) {
+    step(seq);
+  }
+  ASSERT_TRUE(sink.coastIdle());
+  for (; seq < 48; ++seq) {
+    step(seq);
+  }
+  ASSERT_FALSE(sink.lastTracks().empty());
+
+  const std::uint64_t before = gAllocations.load();
+  for (; seq < 72; ++seq) {
+    step(seq);
+  }
+  ASSERT_TRUE(sink.coastIdle());
+  ASSERT_TRUE(sink.coastIdle());
+  for (; seq < 96; ++seq) {
+    step(seq);
+  }
+  EXPECT_EQ(gAllocations.load() - before, 0U)
+      << "session -> EBMS PipelineSink allocated in steady state";
+  EXPECT_EQ(sink.counters().windowsTracked, 96U);
+  EXPECT_EQ(sink.counters().resyncRestores, 2U);
+  EXPECT_FALSE(sink.lastTracks().empty());
+}
+
+TEST(AllocationAuditTest, PixelLatchReadIntoAllocatesNothing) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  // PipelineSink's latch readout for frame-domain pipelines: one bitmap
+  // and one output packet reused per window.
+  PixelLatch latch(240, 180);
+  EventPacket out;
+  std::vector<EventPacket> windows;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    windows.push_back(denseTrafficWindow(seed));
+  }
+  for (const EventPacket& w : windows) {
+    latch.readInto(w, out);  // warm-up: output capacity grows here
+  }
+  const std::uint64_t before = gAllocations.load();
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const EventPacket& w : windows) {
+      latch.readInto(w, out);
+    }
+  }
+  EXPECT_EQ(gAllocations.load() - before, 0U)
+      << "PixelLatch::readInto allocated in steady state";
+  EXPECT_GT(out.size(), 0U);
 }
 
 TEST(AllocationAuditTest, NnFilterFilterIntoAllocatesNothing) {

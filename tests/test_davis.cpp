@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+
+#include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "src/events/stats.hpp"
 #include "src/sim/scene.hpp"
 
@@ -164,6 +170,65 @@ TEST(LatchReadoutTest, LatchedNeverExceedsPixelCount) {
   const EventPacket out = latchReadout(p, 4, 4);
   EXPECT_LE(out.size(), 16U);
   EXPECT_EQ(out.size(), 16U);  // all 16 pixels fired at least once
+}
+
+/// Obvious latch oracle: a std::set of fired pixels.
+EventPacket latchOracle(const EventPacket& p) {
+  std::set<std::pair<int, int>> fired;
+  EventPacket out(p.tStart(), p.tEnd());
+  for (const Event& e : p) {
+    if (fired.insert({e.x, e.y}).second) {
+      out.push(e);
+    }
+  }
+  return out;
+}
+
+TEST(LatchReadoutTest, PixelLatchMatchesOracleOnRandomPackets) {
+  // Odd geometry (bitmap rows straddle 64-bit words), edge pixels and
+  // many duplicates; one PixelLatch and one output packet are reused
+  // across windows of varying size, as PipelineSink uses them.
+  constexpr int kW = 37;
+  constexpr int kH = 23;
+  Rng rng(1234);
+  PixelLatch latch(kW, kH);
+  EventPacket reused;
+  for (int trial = 0; trial < 60; ++trial) {
+    const TimeUs t0 = static_cast<TimeUs>(trial) * 10'000;
+    EventPacket p(t0, t0 + 10'000);
+    const int n = static_cast<int>(rng.uniformInt(0, 3 * kW * kH));
+    for (int i = 0; i < n; ++i) {
+      int x = static_cast<int>(rng.uniformInt(0, kW - 1));
+      int y = static_cast<int>(rng.uniformInt(0, kH - 1));
+      if (rng.chance(0.1)) {
+        x = rng.chance(0.5) ? 0 : kW - 1;  // edge columns
+      }
+      if (rng.chance(0.1)) {
+        y = rng.chance(0.5) ? 0 : kH - 1;  // edge rows
+      }
+      p.push(Event{static_cast<std::uint16_t>(x),
+                   static_cast<std::uint16_t>(y),
+                   rng.chance(0.5) ? Polarity::kOn : Polarity::kOff,
+                   t0 + i * 10'000 / (n + 1)});
+    }
+    const EventPacket expected = latchOracle(p);
+    latch.readInto(p, reused);
+    ASSERT_EQ(reused.tStart(), expected.tStart());
+    ASSERT_EQ(reused.tEnd(), expected.tEnd());
+    ASSERT_TRUE(std::equal(reused.begin(), reused.end(), expected.begin(),
+                           expected.end()))
+        << "trial " << trial;
+    const EventPacket wrapped = latchReadout(p, kW, kH);
+    ASSERT_TRUE(std::equal(wrapped.begin(), wrapped.end(), expected.begin(),
+                           expected.end()))
+        << "trial " << trial;
+  }
+}
+
+TEST(LatchReadoutTest, OutOfBoundsEventIsRejected) {
+  EventPacket p(0, 1'000);
+  p.push(Event{8, 0, Polarity::kOn, 10});
+  EXPECT_THROW((void)latchReadout(p, 8, 8), LogicError);
 }
 
 TEST(LatchedSourceTest, WrapsAnInnerSource) {

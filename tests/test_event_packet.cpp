@@ -119,6 +119,30 @@ TEST(EventPacketTest, MergePreservesOrderAndWindow) {
   EXPECT_EQ(m[1].t, 25);
 }
 
+TEST(EventPacketTest, AppendBufferGrowsGeometrically) {
+  // A packet reused over rising window sizes (reset, then one bulk
+  // append per window) must reallocate O(log n) times, not once per
+  // larger window.
+  EventPacket p;
+  int reallocations = 0;
+  const Event* data = nullptr;
+  constexpr std::size_t kWindows = 1000;
+  for (std::size_t n = 1; n <= kWindows; ++n) {
+    p.reset(0, 1'000);
+    const std::span<Event> buf = p.appendBuffer(n);
+    for (Event& e : buf) {
+      e.t = 5;
+    }
+    p.commitAppended(n);
+    if (p.events().data() != data) {
+      ++reallocations;
+      data = p.events().data();
+    }
+  }
+  EXPECT_EQ(p.size(), kWindows);
+  EXPECT_LE(reallocations, 11);  // ceil(log2(1000)) + 1
+}
+
 TEST(EventPacketTest, TakeEventsMovesStorage) {
   EventPacket p(0, 100);
   p.push(makeEvent(3, 4, 10));

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/pipeline.hpp"
@@ -261,6 +263,109 @@ TEST(PipelineSinkTest, IdleCoastBudgetIsPerOutage) {
   sink.onWindow(windows[1], 1, windows[1].tEnd());
   EXPECT_TRUE(sink.coastIdle());
   EXPECT_EQ(sink.counters().idleCoastWindows, 3U);
+}
+
+/// Pipeline decorator counting the snapshot traffic the sink causes.
+class SnapshotCountingPipeline final : public Pipeline {
+ public:
+  explicit SnapshotCountingPipeline(std::unique_ptr<Pipeline> inner)
+      : inner_(std::move(inner)) {}
+
+  Tracks processWindow(const EventPacket& packet) override {
+    return inner_->processWindow(packet);
+  }
+  [[nodiscard]] OpCounts lastOps() const override {
+    return inner_->lastOps();
+  }
+  [[nodiscard]] const std::string& name() const override {
+    return inner_->name();
+  }
+  [[nodiscard]] InputDomain inputDomain() const override {
+    return inner_->inputDomain();
+  }
+  [[nodiscard]] std::unique_ptr<PipelineSnapshot> makeSnapshot()
+      const override {
+    return inner_->makeSnapshot();
+  }
+  bool saveState(PipelineSnapshot& out) const override {
+    ++saves;
+    return inner_->saveState(out);
+  }
+  bool restoreState(const PipelineSnapshot& snapshot) override {
+    ++restores;
+    return inner_->restoreState(snapshot);
+  }
+  void resetState() override { inner_->resetState(); }
+
+  mutable int saves = 0;
+  int restores = 0;
+
+ private:
+  std::unique_ptr<Pipeline> inner_;
+};
+
+TEST(PipelineSinkTest, SnapshotIsSavedOncePerIdleCoastEpisodeOnly) {
+  const std::vector<EventPacket> windows = makeWindows(40);
+  PipelineSinkConfig config;
+  config.maxCoastWindows = 4;
+  config.resync = ResyncPolicy::kRestoreSnapshot;
+  auto owned = std::make_unique<SnapshotCountingPipeline>(makeSmallEbbiot());
+  const SnapshotCountingPipeline& counting = *owned;
+  PipelineSink sink(std::move(owned), kWidth, kHeight, config);
+  const auto feed = [&](std::size_t i, std::uint32_t seq) {
+    sink.onWindow(windows[i], seq, windows[i].tEnd());
+  };
+
+  // Contiguous, gapped (bridgeable: coasted) and unbridgeable streams,
+  // then a rebased (backward) sequence space: no snapshot is taken, and
+  // the two resyncs restore the live state without copying it.
+  for (std::size_t i = 0; i < 6; ++i) {
+    feed(i, static_cast<std::uint32_t>(i));
+  }
+  feed(6, 8);    // 2 lost: coasted
+  feed(7, 20);   // 11 lost: resync
+  feed(8, 2);    // rebased: resync
+  feed(9, 3);
+  EXPECT_EQ(sink.counters().gapsCoasted, 1U);
+  EXPECT_EQ(sink.counters().resyncRestores, 2U);
+  EXPECT_EQ(counting.saves, 0);
+  EXPECT_EQ(counting.restores, 0);
+
+  // Two idle-coast episodes: one save each, however long they last,
+  // and one restore when each ends.
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(sink.coastIdle());
+  }
+  EXPECT_EQ(counting.saves, 1);
+  feed(10, 4);
+  EXPECT_EQ(counting.restores, 1);
+  feed(11, 5);
+  for (int k = 0; k < 4; ++k) {
+    ASSERT_TRUE(sink.coastIdle());
+  }
+  EXPECT_FALSE(sink.coastIdle());  // budget spent: still one save
+  EXPECT_EQ(counting.saves, 2);
+  feed(12, 30);  // resumes past an unbridgeable gap: one resync
+  EXPECT_EQ(counting.restores, 2);
+  EXPECT_EQ(sink.counters().resyncRestores, 4U);
+  EXPECT_EQ(sink.counters().resyncResets, 0U);
+}
+
+TEST(PipelineSinkTest, ResetPolicyNeverSnapshots) {
+  const std::vector<EventPacket> windows = makeWindows(10);
+  PipelineSinkConfig config;
+  config.maxCoastWindows = 2;
+  config.resync = ResyncPolicy::kReset;
+  auto owned = std::make_unique<SnapshotCountingPipeline>(makeSmallEbbiot());
+  const SnapshotCountingPipeline& counting = *owned;
+  PipelineSink sink(std::move(owned), kWidth, kHeight, config);
+  sink.onWindow(windows[0], 0, windows[0].tEnd());
+  ASSERT_TRUE(sink.coastIdle());
+  sink.onWindow(windows[1], 1, windows[1].tEnd());
+  sink.onWindow(windows[2], 9, windows[2].tEnd());
+  EXPECT_EQ(sink.counters().resyncResets, 2U);
+  EXPECT_EQ(counting.saves, 0);
+  EXPECT_EQ(counting.restores, 0);
 }
 
 // ---- drain-latency tail (satellite: percentiles must not be flat) ----
