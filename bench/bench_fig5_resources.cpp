@@ -55,7 +55,7 @@ int main() {
   const RunResult run = runRecording(*rec.source, *rec.scenario,
                                      secondsToUs(spec.durationS), config);
 
-  const double measuredOurs = run.ebbiot->meanOpsPerFrame();
+  const double measuredOurs = run.stats("EBBIOT")->meanOpsPerFrame();
 
   // --- Model side, at the operating point measured from this very run
   // (alpha, beta, NF feed Eqs. (1), (2), (8)).
@@ -121,7 +121,7 @@ int main() {
   }
   std::printf("\n(paper: EBMS chain ~3x computes, ~7x memory of EBBIOT)\n");
 
-  const double measuredEbms = run.ebms->meanOpsPerFrame();
+  const double measuredEbms = run.stats("EBMS")->meanOpsPerFrame();
   std::printf(
       "\nNote on measured EBMS ops: Eq. (8) charges ~%.0f ops per filtered\n"
       "event (9*CL^2 + (169 + 16*g)*CL + 11 at CL = 2), the cost of the\n"

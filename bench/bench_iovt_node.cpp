@@ -833,9 +833,10 @@ int main(int argc, char** argv) {
   RecordingSpec spec = makeSyntheticEng();
   spec.durationS = 30.0;
   Recording rec = openRecording(spec);
-  RunnerConfig config = makeDefaultRunnerConfig(240, 180);
   const RunResult run = runRecording(*rec.source, *rec.scenario,
-                                     secondsToUs(spec.durationS), config);
+                                     secondsToUs(spec.durationS),
+                                     RunnerConfig{});
+  const double ebbiotOpsPerFrame = run.stats("EBBIOT")->meanOpsPerFrame();
 
   const NodePlatform node;
   const double meanTracks = 2.0;  // the paper's NT operating point
@@ -855,19 +856,19 @@ int main(int argc, char** argv) {
 
   {
     NodeWorkload w;
-    w.opsPerFrame = run.ebbiot->meanOpsPerFrame();
+    w.opsPerFrame = ebbiotOpsPerFrame;
     w.txBitsPerFrame = trackPayloadBits(meanTracks);
     printRow("EBBIOT -> tracks", estimateNodeBudget(node, w));
   }
   {
     NodeWorkload w;
-    w.opsPerFrame = run.ebbiot->meanOpsPerFrame();
+    w.opsPerFrame = ebbiotOpsPerFrame;
     w.txBitsPerFrame = ebbiPayloadBits(240, 180);
     printRow("EBBIOT -> EBBI frames", estimateNodeBudget(node, w));
   }
   {
     NodeWorkload w;
-    w.opsPerFrame = run.ebms->meanOpsPerFrame();
+    w.opsPerFrame = run.stats("EBMS")->meanOpsPerFrame();
     w.txBitsPerFrame = trackPayloadBits(meanTracks);
     printRow("NN-filt+EBMS -> tracks", estimateNodeBudget(node, w));
   }

@@ -10,6 +10,37 @@
 
 namespace ebbiot {
 
+namespace {
+
+const VariantRegistry& registryOrGlobal(const VariantRegistry* registry) {
+  return registry != nullptr ? *registry : variantRegistry();
+}
+
+/// Instantiate the selected pipelines: registry variants at the source's
+/// geometry, then extraPipelines, in order.
+std::vector<std::unique_ptr<Pipeline>> makePipelines(
+    const RunnerConfig& config, const VariantContext& context) {
+  std::vector<std::unique_ptr<Pipeline>> pipelines;
+  const VariantRegistry& registry = registryOrGlobal(config.registry);
+  for (const std::string& key : config.variants) {
+    pipelines.push_back(registry.build(key, context));
+  }
+  for (const PipelineFactory& make : config.extraPipelines) {
+    EBBIOT_ASSERT(make != nullptr);
+    std::unique_ptr<Pipeline> pipeline = make();
+    EBBIOT_ASSERT(pipeline != nullptr);
+    pipelines.push_back(std::move(pipeline));
+  }
+  for (std::size_t i = 0; i < pipelines.size(); ++i) {
+    for (std::size_t j = i + 1; j < pipelines.size(); ++j) {
+      EBBIOT_ASSERT(pipelines[i]->name() != pipelines[j]->name());
+    }
+  }
+  return pipelines;
+}
+
+}  // namespace
+
 const PipelineRunStats* RunResult::stats(std::string_view name) const {
   const auto it =
       std::find_if(pipelines.begin(), pipelines.end(),
@@ -41,66 +72,24 @@ void RunnerConfig::validate() const {
                         " outside [0, 1]");
     }
   }
+  const VariantRegistry& known = registryOrGlobal(registry);
+  for (auto it = variants.begin(); it != variants.end(); ++it) {
+    if (!known.contains(*it)) {
+      throw ConfigError("RunnerConfig: unknown variant key \"" + *it + "\"");
+    }
+    if (std::find(variants.begin(), it, *it) != it) {
+      throw ConfigError("RunnerConfig: variant key \"" + *it +
+                        "\" listed twice");
+    }
+  }
 }
 
-RunnerConfig makeDefaultRunnerConfig(int width, int height) {
-  RunnerConfig config;
-  config.ebbiot.width = width;
-  config.ebbiot.height = height;
-  config.kalman.width = width;
-  config.kalman.height = height;
-  config.ebms.nnFilter.width = width;
-  config.ebms.nnFilter.height = height;
-  return config;
-}
-
-RunnerConfig makeRegistryRunnerConfig(int width, int height,
+RunnerConfig makeRegistryRunnerConfig(int /*width*/, int /*height*/,
                                       const VariantRegistry* registry) {
-  RunnerConfig config = makeDefaultRunnerConfig(width, height);
-  config.runEbbiot = false;
-  config.runKalman = false;
-  config.runEbms = false;
+  RunnerConfig config;
   config.registry = registry;
-  config.variants =
-      (registry != nullptr ? *registry : variantRegistry()).keys();
+  config.variants = registryOrGlobal(registry).keys();
   return config;
-}
-
-std::vector<std::unique_ptr<Pipeline>> buildPipelines(
-    const RunnerConfig& config) {
-  std::vector<std::unique_ptr<Pipeline>> pipelines;
-  if (config.runEbbiot) {
-    pipelines.push_back(std::make_unique<EbbiotPipeline>(config.ebbiot));
-  }
-  if (config.runKalman) {
-    pipelines.push_back(std::make_unique<KalmanPipeline>(config.kalman));
-  }
-  if (config.runEbms) {
-    pipelines.push_back(std::make_unique<EbmsPipeline>(config.ebms));
-  }
-  if (!config.variants.empty()) {
-    const VariantRegistry& registry =
-        config.registry != nullptr ? *config.registry : variantRegistry();
-    // Variants share the recording's geometry; the built-in configs carry
-    // it (makeDefaultRunnerConfig / makeRegistryRunnerConfig set all
-    // three consistently).
-    const VariantContext context{config.ebbiot.width, config.ebbiot.height};
-    for (const std::string& key : config.variants) {
-      pipelines.push_back(registry.build(key, context));
-    }
-  }
-  for (const PipelineFactory& make : config.extraPipelines) {
-    EBBIOT_ASSERT(make != nullptr);
-    std::unique_ptr<Pipeline> pipeline = make();
-    EBBIOT_ASSERT(pipeline != nullptr);
-    pipelines.push_back(std::move(pipeline));
-  }
-  for (std::size_t i = 0; i < pipelines.size(); ++i) {
-    for (std::size_t j = i + 1; j < pipelines.size(); ++j) {
-      EBBIOT_ASSERT(pipelines[i]->name() != pipelines[j]->name());
-    }
-  }
-  return pipelines;
 }
 
 RunResult runRecording(EventSource& source, const SceneProvider& scene,
@@ -113,8 +102,9 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
   RunResult result;
   result.thresholds = config.iouThresholds;
 
-  const std::vector<std::unique_ptr<Pipeline>> pipelines =
-      buildPipelines(config);
+  // Registry variants are built at the source's sensor size.
+  const std::vector<std::unique_ptr<Pipeline>> pipelines = makePipelines(
+      config, VariantContext{source.width(), source.height()});
   const bool anyLatched = std::any_of(
       pipelines.begin(), pipelines.end(), [](const auto& p) {
         return p->inputDomain() == InputDomain::kLatchedFrame;
@@ -353,15 +343,7 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
     }
   }
 
-  // Convenience views of the built-ins.
-  if (const PipelineRunStats* s = result.stats("EBBIOT")) {
-    result.ebbiot = *s;
-  }
-  if (const PipelineRunStats* s = result.stats("EBBI+KF")) {
-    result.kalman = *s;
-  }
   if (const PipelineRunStats* s = result.stats("EBMS")) {
-    result.ebms = *s;
     result.meanFilteredEventsPerFrame = s->filteredEventsPerFrame;
   }
   return result;

@@ -12,20 +12,20 @@
 // per pipeline, keyed by Pipeline::name() (the empirical side of
 // Fig. 5 / Table I).
 //
-// The three paper pipelines are built-ins toggled by run* flags; further
-// variants come in two flavours:
-//   * named variants from the registry (src/core/variant_registry.hpp) —
-//     `config.variants = {"EBBINNOT", "Hybrid"}`, or every registered one
-//     at once via makeRegistryRunnerConfig();
+// Pipelines are picked in two ways, built in this order:
+//   * registry keys (src/core/variant_registry.hpp) —
+//     `config.variants = {"EBBIOT", "Hybrid"}`; the default is the
+//     paper's three (EBBIOT, EBBI+KF, EBMS), and
+//     makeRegistryRunnerConfig() selects every registered one;
 //   * ad-hoc one-offs through a factory:
 //       config.extraPipelines.push_back([] {
 //         return std::make_unique<EbbiotPipeline>(myConfig, "EBBIOT-cca");
 //       });
+// Registry variants are built at the source's sensor size.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,22 +46,16 @@ struct RunnerConfig {
   TimeUs framePeriod = kDefaultFramePeriodUs;
   std::vector<float> iouThresholds = defaultIouSweep();
   GtOptions gtOptions;
-  bool runEbbiot = true;
-  bool runKalman = true;
-  bool runEbms = true;
-  EbbiotPipelineConfig ebbiot;
-  KalmanPipelineConfig kalman;
-  EbmsPipelineConfig ebms;
-  /// Registry keys of named variants to evaluate alongside the built-ins
-  /// (resolved against `registry`).  A key that duplicates an enabled
-  /// built-in's name is rejected — disable the built-in flag instead.
-  std::vector<std::string> variants;
+  /// Registry keys of the variants to evaluate, in run order (resolved
+  /// against `registry`).  Each key must be registered and listed once.
+  std::vector<std::string> variants = {"EBBIOT", "EBBI+KF", "EBMS"};
   /// Registry the `variants` keys resolve against; nullptr = the global
   /// variantRegistry().  Benches sweeping ad-hoc grids point this at a
   /// local registry.
   const VariantRegistry* registry = nullptr;
   /// Pipeline variants beyond the named ones, evaluated under the same
-  /// protocol.  Names must be unique across the run.
+  /// protocol, built after them.  Names must be unique across the run;
+  /// a clash throws LogicError once the pipelines are built.
   std::vector<PipelineFactory> extraPipelines;
   /// Stop after this many frames even if the source has more (0 = run the
   /// full `duration` passed to runRecording).
@@ -86,9 +80,10 @@ struct RunnerConfig {
   bool pipelined = true;
 
   /// Throws ConfigError on any nonsensical value (non-positive frame
-  /// period, empty or out-of-range IoU sweep).  runRecording() calls
-  /// this up front so misconfiguration fails fast, before any pipeline
-  /// or stage graph is built.
+  /// period, empty or out-of-range IoU sweep, unknown or repeated
+  /// variant key).  runRecording() calls this up front so
+  /// misconfiguration fails fast, before any pipeline or stage graph is
+  /// built.
   void validate() const;
 };
 
@@ -113,11 +108,6 @@ struct RunResult {
   std::vector<float> thresholds;
   /// One entry per pipeline, in run order, keyed by Pipeline::name().
   std::vector<PipelineRunStats> pipelines;
-  /// The three built-ins, looked up by name — convenience views for the
-  /// paper's comparisons (absent when the pipeline was disabled).
-  std::optional<PipelineRunStats> ebbiot;
-  std::optional<PipelineRunStats> kalman;
-  std::optional<PipelineRunStats> ebms;
   std::size_t gtTracks = 0;        ///< distinct ground-truth tracks seen
   std::size_t gtBoxes = 0;         ///< total ground-truth boxes
   std::size_t frames = 0;
@@ -126,7 +116,7 @@ struct RunResult {
   double meanAlpha = 0.0;          ///< active-pixel fraction (latched frame)
   double meanBeta = 0.0;           ///< stream events per active pixel
   double meanEventsPerFrame = 0.0; ///< raw stream events per frame
-  double meanFilteredEventsPerFrame = 0.0;  ///< after NN-filt (EBMS only)
+  double meanFilteredEventsPerFrame = 0.0;  ///< after NN-filt ("EBMS" only)
 
   /// Stats of the pipeline with this name, or nullptr if it did not run.
   [[nodiscard]] const PipelineRunStats* stats(std::string_view name) const;
@@ -137,30 +127,17 @@ struct RunResult {
       const PipelineRunStats& stats, const std::string& recordingName) const;
 };
 
-/// Instantiate every enabled pipeline of `config` (built-ins first, then
-/// extraPipelines, in order).
-[[nodiscard]] std::vector<std::unique_ptr<Pipeline>> buildPipelines(
-    const RunnerConfig& config);
-
-/// Run all enabled pipelines against a source+scene for `duration`.
+/// Run every selected pipeline against a source+scene for `duration`.
 [[nodiscard]] RunResult runRecording(EventSource& source,
                                      const SceneProvider& scene,
                                      TimeUs duration,
                                      const RunnerConfig& config);
 
-/// Convenience: a RunnerConfig with all pipeline geometries set for the
-/// given sensor size and the paper's default parameters.
-[[nodiscard]] RunnerConfig makeDefaultRunnerConfig(int width, int height);
-
 /// A RunnerConfig that evaluates *every variant registered* in `registry`
 /// (default: the global registry) in one runRecording() call.  The
-/// built-in flags are turned off — with the global registry the
-/// built-ins still participate through their registry entries, so stats
-/// stay keyed by the same names and the RunResult convenience views
-/// (ebbiot/kalman/ebms) still populate.  With a *local* registry only
-/// its own keys run: the convenience optionals stay empty unless the
-/// registry defines those names, so look results up via stats().
+/// sensor size comes from the source; the unused width and height stay
+/// because perfbench/src/sweep.cpp still passes them.
 [[nodiscard]] RunnerConfig makeRegistryRunnerConfig(
-    int width, int height, const VariantRegistry* registry = nullptr);
+    int /*width*/, int /*height*/, const VariantRegistry* registry = nullptr);
 
 }  // namespace ebbiot

@@ -36,7 +36,7 @@ EbmsTracker::EbmsTracker(const EbmsConfig& config) : config_(config) {
   histT_.resize(n * w);
   histQx_.resize(n * w);
   histQy_.resize(n * w);
-  boxes_.reserve(n);
+  boxes_.resize(n);
   gridEnabled_ = config.maxClusters <= 64;
   if (gridEnabled_) {
     gridSlack_ = std::max(8.0F, config.captureRadius * 0.5F);
@@ -520,9 +520,8 @@ void EbmsTracker::mergePass() {
   // Merge overlapping clusters; same pass (and metering) as the
   // reference: boxes cached per pass, survivor stored at the lower slot,
   // scan continues in place re-checking only the survivor's row.
-  boxes_.clear();
   for (int i = 0; i < count_; ++i) {
-    boxes_.push_back(boxOf(i));
+    boxes_[static_cast<std::size_t>(i)] = boxOf(i);
     ops_.multiplies += 2;
     ops_.compares += 2;
   }
@@ -561,8 +560,9 @@ void EbmsTracker::mergePass() {
       madY_[ii] = mergedMadY;
       support_[ii] = mergedSupport;
       lastEventT_[ii] = mergedLastEventT;
+      std::copy(boxes_.begin() + j + 1, boxes_.begin() + count_,
+                boxes_.begin() + j);
       eraseCluster(j);
-      boxes_.erase(boxes_.begin() + j);
       boxes_[ii] = boxOf(i);
       ops_.multiplies += 2;
       ops_.compares += 2;

@@ -210,7 +210,10 @@ class EbmsTracker {
   std::vector<std::int64_t> histQx_;
   std::vector<std::int64_t> histQy_;
 
-  std::vector<BBox> boxes_;  ///< merge-pass box cache (reused scratch)
+  // Merge-pass box cache, packed [0, count_) like the arrays above.  Sized
+  // maxClusters up front so a copied tracker (a pipeline snapshot save)
+  // never grows it, whatever the cluster-count history.
+  std::vector<BBox> boxes_;
 
   // Capture grid: 32-px cells over [0, 2048)^2 px (coordinates beyond
   // clamp into the edge cells on both the cluster and the event side, so

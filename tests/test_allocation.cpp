@@ -337,6 +337,76 @@ TEST(AllocationAuditTest, SessionIntoEbmsPipelineSinkAllocatesNothing) {
   EXPECT_FALSE(sink.lastTracks().empty());
 }
 
+TEST(AllocationAuditTest, EbmsSnapshotSaveAllocatesNothingAsClustersGrow) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  // The same node path, on a scene whose cluster count rises between
+  // idle-coast episodes: one blob through the first episode, then the
+  // scene splits into three.  The second episode's snapshot save copies
+  // a tracker holding more clusters than at the first save; the copy
+  // must still reuse the snapshot's buffers.
+  NodeConfig config;
+  config.maxEventsPerFrame = 1024;
+  SensorSession session(4, config);
+  PipelineSink sink(std::make_unique<EbmsPipeline>(EbmsPipelineConfig{}),
+                    config.width, config.height, PipelineSinkConfig{});
+
+  constexpr TimeUs kPeriod = 66'000;
+  constexpr int kEventsPerWindow = 600;
+  struct Blob {
+    int x0, y0;
+  };
+  const std::vector<Blob> one{{40, 70}};
+  const std::vector<Blob> three{{40, 70}, {150, 20}, {160, 130}};
+  Rng rng(78);
+  std::vector<std::vector<std::byte>> frames;
+  for (std::uint32_t seq = 0; seq < 96; ++seq) {
+    const std::vector<Blob>& blobs = seq < 40 ? one : three;
+    const TimeUs tStart = static_cast<TimeUs>(seq) * kPeriod;
+    EventPacket window(tStart, tStart + kPeriod);
+    for (int i = 0; i < kEventsPerWindow; ++i) {
+      const Blob& b = blobs[static_cast<std::size_t>(i) % blobs.size()];
+      window.push(Event{
+          static_cast<std::uint16_t>(b.x0 + rng.uniformInt(0, 29)),
+          static_cast<std::uint16_t>(b.y0 + rng.uniformInt(0, 24)),
+          Polarity::kOn, tStart + static_cast<TimeUs>(i) * 100});
+    }
+    std::vector<std::byte> bytes;
+    encodeFrame(bytes, seq, 4, window);
+    frames.push_back(std::move(bytes));
+  }
+
+  const auto step = [&](std::uint32_t seq) {
+    const TimeUs now = static_cast<TimeUs>(seq + 1) * kPeriod;
+    session.offerBytes(frames[seq], now);
+    (void)session.drainInto(sink, now);
+  };
+  // Warm-up: the first coast episode's save holds one cluster; then the
+  // live state (queue slots, tracks) grows to three clusters.
+  std::uint32_t seq = 0;
+  for (; seq < 40; ++seq) {
+    step(seq);
+  }
+  ASSERT_EQ(sink.lastTracks().size(), 1U);
+  ASSERT_TRUE(sink.coastIdle());
+  for (; seq < 64; ++seq) {
+    step(seq);
+  }
+  ASSERT_EQ(sink.lastTracks().size(), 3U);
+
+  const std::uint64_t before = gAllocations.load();
+  ASSERT_TRUE(sink.coastIdle());  // saves the three-cluster state
+  for (; seq < 96; ++seq) {
+    step(seq);
+  }
+  EXPECT_EQ(gAllocations.load() - before, 0U)
+      << "EBMS snapshot save allocated as the cluster count grew";
+  EXPECT_EQ(sink.counters().windowsTracked, 96U);
+  EXPECT_EQ(sink.counters().resyncRestores, 2U);
+  EXPECT_EQ(sink.lastTracks().size(), 3U);
+}
+
 TEST(AllocationAuditTest, PixelLatchReadIntoAllocatesNothing) {
 #ifdef EBBIOT_ALLOC_COUNTER_DISABLED
   GTEST_SKIP() << "allocation counting disabled under sanitizers";

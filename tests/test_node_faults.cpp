@@ -482,7 +482,7 @@ void expectSameStats(const PipelineRunStats& a, const PipelineRunStats& b) {
 
 TEST(CleanStreamEquivalenceTest, SessionLayerAddsNothingToHealthyStream) {
   const RecordingSpec spec = scaledRecording(makeSyntheticEng(3), 0.004);
-  const RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  const RunnerConfig config;
   const TimeUs duration = secondsToUs(spec.durationS);
 
   Recording direct = openRecording(spec);

@@ -28,16 +28,16 @@ struct Fixture {
 
 TEST(RunnerTest, RunsAllPipelinesAndCountsFrames) {
   Fixture fix;
-  const RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  const RunnerConfig config;
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(8.0), config);
   const auto expectedFrames =
       static_cast<std::size_t>(secondsToUs(8.0) / kDefaultFramePeriodUs);
   EXPECT_EQ(result.frames, expectedFrames);
-  ASSERT_TRUE(result.ebbiot.has_value());
-  ASSERT_TRUE(result.kalman.has_value());
-  ASSERT_TRUE(result.ebms.has_value());
-  EXPECT_EQ(result.ebbiot->frames, expectedFrames);
+  ASSERT_EQ(result.pipelines.size(), 3U);
+  for (const PipelineRunStats& stats : result.pipelines) {
+    EXPECT_EQ(stats.frames, expectedFrames) << stats.name;
+  }
   EXPECT_EQ(result.thresholds, config.iouThresholds);
   EXPECT_GT(result.streamEvents, 0U);
   EXPECT_GT(result.latchedEvents, 0U);
@@ -48,30 +48,32 @@ TEST(RunnerTest, RunsAllPipelinesAndCountsFrames) {
 
 TEST(RunnerTest, EbbiotAchievesGoodRecallOnEasyScene) {
   Fixture fix;
-  const RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  const RunnerConfig config;
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(8.0), config);
   // At IoU 0.3 on two clean vehicles, EBBIOT should recall most boxes.
-  const PrCounts& counts = result.ebbiot->counts[2];  // threshold 0.3
+  const PrCounts& counts = result.stats("EBBIOT")->counts[2];  // IoU 0.3
   EXPECT_GT(counts.recall(), 0.6);
   EXPECT_GT(counts.precision(), 0.6);
 }
 
 TEST(RunnerTest, PipelinesCanBeDisabled) {
   Fixture fix;
-  RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runKalman = false;
-  config.runEbms = false;
+  RunnerConfig config;
+  config.variants = {"EBBIOT"};
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(2.0), config);
-  EXPECT_TRUE(result.ebbiot.has_value());
-  EXPECT_FALSE(result.kalman.has_value());
-  EXPECT_FALSE(result.ebms.has_value());
+  ASSERT_EQ(result.pipelines.size(), 1U);
+  EXPECT_NE(result.stats("EBBIOT"), nullptr);
+  EXPECT_EQ(result.stats("EBBI+KF"), nullptr);
+  EXPECT_EQ(result.stats("EBMS"), nullptr);
+  // No event-domain pipeline ran, so nothing was NN-filtered.
+  EXPECT_EQ(result.meanFilteredEventsPerFrame, 0.0);
 }
 
 TEST(RunnerTest, StatsKeyedByPipelineName) {
   Fixture fix;
-  const RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  const RunnerConfig config;
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(2.0), config);
   ASSERT_EQ(result.pipelines.size(), 3U);
@@ -82,20 +84,15 @@ TEST(RunnerTest, StatsKeyedByPipelineName) {
   ASSERT_NE(result.stats("EBBI+KF"), nullptr);
   ASSERT_NE(result.stats("EBMS"), nullptr);
   EXPECT_EQ(result.stats("nonesuch"), nullptr);
-  // The convenience views mirror the keyed entries.
-  EXPECT_EQ(result.ebbiot->totalOps, result.stats("EBBIOT")->totalOps);
-  EXPECT_EQ(result.kalman->totalOps, result.stats("EBBI+KF")->totalOps);
-  EXPECT_EQ(result.ebms->totalOps, result.stats("EBMS")->totalOps);
   EXPECT_EQ(result.meanFilteredEventsPerFrame,
-            result.ebms->filteredEventsPerFrame);
+            result.stats("EBMS")->filteredEventsPerFrame);
 }
 
 TEST(RunnerTest, ExtraPipelineRegistersInOneLine) {
   Fixture fix;
-  RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runKalman = false;
-  config.runEbms = false;
-  EbbiotPipelineConfig ccaVariant = config.ebbiot;
+  RunnerConfig config;
+  config.variants = {"EBBIOT"};
+  EbbiotPipelineConfig ccaVariant;
   ccaVariant.rpnKind = RpnKind::kCca;
   ccaVariant.cca.minComponentPixels = 6;
   config.extraPipelines.push_back([ccaVariant] {
@@ -114,18 +111,29 @@ TEST(RunnerTest, ExtraPipelineRegistersInOneLine) {
 
 TEST(RunnerTest, DuplicatePipelineNamesRejected) {
   Fixture fix;
-  RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  const EbbiotPipelineConfig dup = config.ebbiot;
-  config.extraPipelines.push_back(
-      [dup] { return std::make_unique<EbbiotPipeline>(dup); });
-  EXPECT_THROW(
-      (void)runRecording(*fix.synth, fix.scene, secondsToUs(1.0), config),
-      LogicError);
+  {
+    // A repeated variant key is a configuration error, caught up front.
+    RunnerConfig config;
+    config.variants = {"EBBIOT", "EBMS", "EBBIOT"};
+    EXPECT_THROW(
+        (void)runRecording(*fix.synth, fix.scene, secondsToUs(1.0), config),
+        ConfigError);
+  }
+  {
+    // A factory's pipeline name is known only once built.
+    RunnerConfig config;
+    config.extraPipelines.push_back([] {
+      return std::make_unique<EbbiotPipeline>(EbbiotPipelineConfig{});
+    });
+    EXPECT_THROW(
+        (void)runRecording(*fix.synth, fix.scene, secondsToUs(1.0), config),
+        LogicError);
+  }
 }
 
 TEST(RunnerTest, MaxFramesLimitsWork) {
   Fixture fix;
-  RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  RunnerConfig config;
   config.maxFrames = 5;
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(8.0), config);
@@ -134,7 +142,7 @@ TEST(RunnerTest, MaxFramesLimitsWork) {
 
 TEST(RunnerTest, MeanStatsPopulated) {
   Fixture fix;
-  const RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  const RunnerConfig config;
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(4.0), config);
   EXPECT_GT(result.meanAlpha, 0.0);
@@ -143,16 +151,16 @@ TEST(RunnerTest, MeanStatsPopulated) {
   EXPECT_GT(result.meanEventsPerFrame, 0.0);
   EXPECT_GT(result.meanFilteredEventsPerFrame, 0.0);
   EXPECT_LT(result.meanFilteredEventsPerFrame, result.meanEventsPerFrame);
-  EXPECT_GT(result.ebbiot->meanOpsPerFrame(), 0.0);
+  EXPECT_GT(result.stats("EBBIOT")->meanOpsPerFrame(), 0.0);
 }
 
 TEST(RunnerTest, ToRecordingResultCarriesWeights) {
   Fixture fix;
-  const RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  const RunnerConfig config;
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(4.0), config);
   const RecordingResult rec =
-      result.toRecordingResult(*result.ebbiot, "unit");
+      result.toRecordingResult(*result.stats("EBBIOT"), "unit");
   EXPECT_EQ(rec.name, "unit");
   EXPECT_EQ(rec.gtTracks, result.gtTracks);
   EXPECT_EQ(rec.thresholds, result.thresholds);
@@ -162,59 +170,115 @@ TEST(RunnerTest, ToRecordingResultCarriesWeights) {
 TEST(RunnerTest, GeometryMismatchRejected) {
   Fixture fix;
   ScriptedScene other(120, 90);
-  const RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  const RunnerConfig config;
   EXPECT_THROW(
       (void)runRecording(*fix.synth, other, secondsToUs(1.0), config),
       LogicError);
 }
 
+TEST(RunnerTest, VariantGeometryComesFromTheSource) {
+  // A 320x240 sensor with a car crossing all of it: a default config must
+  // build every variant at the source's size, not at 240x180.
+  ScriptedScene scene(320, 240);
+  scene.addLinear(ObjectClass::kCar, BBox{-48, 150, 48, 22}, Vec2f{80, 0},
+                  0, secondsToUs(6.0));
+  EventSynthConfig synthConfig;
+  synthConfig.backgroundActivityHz = 0.3;
+  synthConfig.seed = 5;
+  FastEventSynth synth(scene, synthConfig);
+  const RunResult result =
+      runRecording(synth, scene, secondsToUs(6.0), RunnerConfig{});
+  ASSERT_EQ(result.pipelines.size(), 3U);
+  for (const PipelineRunStats& stats : result.pipelines) {
+    EXPECT_EQ(stats.frames, result.frames) << stats.name;
+    EXPECT_GT(stats.totalOps.total(), 0U) << stats.name;
+  }
+  EXPECT_GT(result.stats("EBBIOT")->counts[0].recall(), 0.5);
+}
+
 TEST(RunnerTest, ZeroDurationRejected) {
   Fixture fix;
-  const RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  const RunnerConfig config;
   EXPECT_THROW((void)runRecording(*fix.synth, fix.scene, 0, config),
                LogicError);
 }
 
 TEST(RunnerConfigTest, DefaultIsValid) {
   EXPECT_NO_THROW(RunnerConfig{}.validate());
-  EXPECT_NO_THROW(makeDefaultRunnerConfig(240, 180).validate());
+  EXPECT_NO_THROW(makeRegistryRunnerConfig(240, 180).validate());
 }
 
 TEST(RunnerConfigTest, BadValuesThrowConfigError) {
   {
-    RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+    RunnerConfig config;
     config.framePeriod = 0;
     EXPECT_THROW(config.validate(), ConfigError);
   }
   {
-    RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+    RunnerConfig config;
     config.framePeriod = -66'000;
     EXPECT_THROW(config.validate(), ConfigError);
   }
   {
-    RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+    RunnerConfig config;
     config.iouThresholds.clear();
     EXPECT_THROW(config.validate(), ConfigError);
   }
   {
-    RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+    RunnerConfig config;
     config.iouThresholds = {0.5f, 1.5f};
     EXPECT_THROW(config.validate(), ConfigError);
   }
   {
-    RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+    RunnerConfig config;
     config.iouThresholds = {-0.1f};
     EXPECT_THROW(config.validate(), ConfigError);
+  }
+  {
+    RunnerConfig config;
+    config.variants = {"EBBIOT", "nonesuch"};
+    EXPECT_THROW(config.validate(), ConfigError);
+  }
+  {
+    RunnerConfig config;
+    config.variants = {"EBMS", "EBBIOT", "EBMS"};
+    EXPECT_THROW(config.validate(), ConfigError);
+  }
+  {
+    // Keys resolve against the configured registry, not the global one.
+    VariantRegistry local;
+    RunnerConfig config;
+    config.registry = &local;
+    EXPECT_THROW(config.validate(), ConfigError);
+    config.variants.clear();
+    EXPECT_NO_THROW(config.validate());
   }
 }
 
 TEST(RunnerConfigTest, RunRecordingValidatesUpFront) {
   Fixture fix;
-  RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.iouThresholds.clear();
+  {
+    RunnerConfig config;
+    config.iouThresholds.clear();
+    EXPECT_THROW(
+        (void)runRecording(*fix.synth, fix.scene, secondsToUs(1.0), config),
+        ConfigError);
+  }
+  // A bad key is rejected before any pipeline is built.
+  int built = 0;
+  VariantRegistry local;
+  local.add("counted", "counts its builds", [&built](const VariantContext&) {
+    ++built;
+    return std::make_unique<EbbiotPipeline>(EbbiotPipelineConfig{},
+                                            "counted");
+  });
+  RunnerConfig config;
+  config.registry = &local;
+  config.variants = {"counted", "nonesuch"};
   EXPECT_THROW(
       (void)runRecording(*fix.synth, fix.scene, secondsToUs(1.0), config),
       ConfigError);
+  EXPECT_EQ(built, 0);
 }
 
 }  // namespace

@@ -92,7 +92,7 @@ TEST(RunnerThreadsTest, EveryThreadCountAndModeReproducesSerialExactly) {
 
 TEST(RunnerThreadsTest, ThreadsZeroMeansHardwareConcurrency) {
   Fixture fixA;
-  RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  RunnerConfig config;
   config.threads = 0;  // resolves to >= 1 without changing results
   const RunResult a =
       runRecording(*fixA.synth, fixA.scene, secondsToUs(1.0), config);
@@ -105,14 +105,13 @@ TEST(RunnerThreadsTest, ThreadsZeroMeansHardwareConcurrency) {
 
 TEST(RunnerThreadsTest, MoreThreadsThanPipelinesIsFine) {
   Fixture fix;
-  RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runKalman = false;
-  config.runEbms = false;
+  RunnerConfig config;
+  config.variants = {"EBBIOT"};
   config.threads = 16;  // 1 pipeline; the fan-out clamps to useful width
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(1.0), config);
-  ASSERT_TRUE(result.ebbiot.has_value());
-  EXPECT_GT(result.ebbiot->frames, 0U);
+  ASSERT_NE(result.stats("EBBIOT"), nullptr);
+  EXPECT_GT(result.stats("EBBIOT")->frames, 0U);
 }
 
 }  // namespace

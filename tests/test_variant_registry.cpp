@@ -105,10 +105,10 @@ TEST(VariantRegistryRunnerTest, OneRunEvaluatesEveryRegisteredVariant) {
     EXPECT_GT(stats.totalOps.total(), 0U) << stats.name;
     EXPECT_EQ(stats.counts.size(), config.iouThresholds.size());
   }
-  // The convenience views keep working because the registry names match.
-  ASSERT_TRUE(result.ebbiot.has_value());
-  ASSERT_TRUE(result.kalman.has_value());
-  ASSERT_TRUE(result.ebms.has_value());
+  // The paper's three run under their registry names.
+  for (const char* key : {"EBBIOT", "EBBI+KF", "EBMS"}) {
+    EXPECT_NE(result.stats(key), nullptr) << key;
+  }
   // The extension variants track the easy scene too.
   const PipelineRunStats* nn = result.stats("EBBINNOT");
   const PipelineRunStats* hybrid = result.stats("Hybrid");
@@ -120,10 +120,8 @@ TEST(VariantRegistryRunnerTest, OneRunEvaluatesEveryRegisteredVariant) {
 
 TEST(VariantRegistryRunnerTest, NamedVariantsRideAlongBuiltins) {
   Fixture fix;
-  RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runKalman = false;
-  config.runEbms = false;
-  config.variants = {"Hybrid", "EBBINNOT"};
+  RunnerConfig config;
+  config.variants = {"EBBIOT", "Hybrid", "EBBINNOT"};
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(2.0), config);
   ASSERT_EQ(result.pipelines.size(), 3U);
@@ -158,11 +156,11 @@ TEST(VariantRegistryRunnerTest, LocalRegistrySweepsAdHocGrid) {
 
 TEST(VariantRegistryRunnerTest, VariantDuplicatingBuiltinRejected) {
   Fixture fix;
-  RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.variants = {"EBBIOT"};  // clashes with the enabled built-in
+  RunnerConfig config;
+  config.variants.push_back("EBBIOT");  // already among the defaults
   EXPECT_THROW(
       (void)runRecording(*fix.synth, fix.scene, secondsToUs(1.0), config),
-      LogicError);
+      ConfigError);
 }
 
 }  // namespace
